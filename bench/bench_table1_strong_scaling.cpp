@@ -101,10 +101,10 @@ int main() {
     c["batch"] = r.batch;
     c["hidden"] = r.hidden;
     c["heads"] = r.heads;
-    c["fwd_ms"] = r.fwd;
-    c["bwd_ms"] = r.bwd;
+    c["fwd_s"] = r.fwd;  // simulated seconds
+    c["bwd_s"] = r.bwd;
     c["throughput"] = r.throughput;
-    c["inference_ms"] = r.inference;
+    c["inference_per_s"] = r.inference;  // inferences per simulated second
   }
   const char* out = "BENCH_table1_strong_scaling.json";
   if (report.write(out)) {

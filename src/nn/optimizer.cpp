@@ -2,7 +2,13 @@
 
 #include <cmath>
 
+#include "runtime/worker_pool.hpp"
+
 namespace tsr::nn {
+namespace {
+// Adam elements per pool chunk (~5 ns each: two divides and a sqrt).
+constexpr std::int64_t kAdamGrain = 8192;
+}  // namespace
 
 SGD::SGD(float lr_in, float momentum, float weight_decay)
     : lr(lr_in), momentum_(momentum), weight_decay_(weight_decay) {}
@@ -86,16 +92,27 @@ void Adam::step(const std::vector<Param*>& params) {
     const float* g = p->grad.data();
     float* m = it->second.m.data();
     float* v = it->second.v.data();
-    for (std::int64_t i = 0; i < p->numel(); ++i) {
-      // Decoupled weight decay (AdamW-style), matching common ViT recipes.
-      const float grad = g[i];
-      m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
-      v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
-      const float mhat = m[i] / bc1;
-      const float vhat = v[i] / bc2;
-      w[i] -= lr * (mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * w[i]);
-    }
+    // Every element's update is independent, so chunking it over the pool
+    // leaves the result bit-identical at any worker count.
+    rt::parallel_chunks(p->numel(), kAdamGrain, [&](std::int64_t b,
+                                                    std::int64_t e) {
+      for (std::int64_t i = b; i < e; ++i) {
+        // Decoupled weight decay (AdamW-style), matching common ViT recipes.
+        const float grad = g[i];
+        m[i] = beta1_ * m[i] + (1.0f - beta1_) * grad;
+        v[i] = beta2_ * v[i] + (1.0f - beta2_) * grad * grad;
+        const float mhat = m[i] / bc1;
+        const float vhat = v[i] / bc2;
+        w[i] -= lr * (mhat / (std::sqrt(vhat) + eps_) + weight_decay_ * w[i]);
+      }
+    });
   }
+}
+
+std::pair<const Tensor*, const Tensor*> Adam::moments(Param* p) const {
+  const auto it = state_.find(p);
+  if (it == state_.end()) return {nullptr, nullptr};
+  return {&it->second.m, &it->second.v};
 }
 
 }  // namespace tsr::nn

@@ -3,6 +3,7 @@
 #pragma once
 
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "nn/param.hpp"
@@ -62,6 +63,8 @@ class Adam final : public Optimizer {
   explicit Adam(float lr, float beta1 = 0.9f, float beta2 = 0.999f,
                 float eps = 1e-8f, float weight_decay = 0.0f);
   void step(const std::vector<Param*>& params) override;
+  /// The moment estimates {m, v} of `p`; both null before p's first step.
+  std::pair<const Tensor*, const Tensor*> moments(Param* p) const;
 
   float lr;
 

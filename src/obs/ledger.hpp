@@ -44,7 +44,8 @@ enum class MetricClass { Deterministic, HostWall };
 /// Classifies by the final path segment. Host patterns are explicit
 /// ("wall", "gflops", "speedup", "host", "max_rel_err", "scheduler_*",
 /// "pool_*", "allocations", "reuses"); everything else — including table1's
-/// `fwd_ms`-style names, which are SIMULATED milliseconds — is deterministic.
+/// `fwd_s`/`bwd_s`/`inference_per_s`, which are SIMULATED seconds and
+/// inferences per simulated second — is deterministic.
 MetricClass classify_metric(std::string_view path);
 
 /// Host metrics where larger is the good direction (gflops, speedup,

@@ -5,16 +5,20 @@
 //     worker on a dedicated pool thread (run_exclusive), so paper-scale
 //     replays spread their rank fibers over the host cores without paying a
 //     thread spawn per World::run;
-//   * the packed GEMM in tensor/gemm.cpp fans its disjoint C-panel tasks out
-//     with parallel_for, where the caller always participates and idle pool
-//     threads opportunistically help.
+//   * data-parallel kernels (the packed GEMM's C column stripes, GELU,
+//     softmax rows, batched GEMM items, the Adam update) fan disjoint index
+//     ranges out with parallel_chunks over parallel_for, where the caller
+//     always participates and idle pool threads opportunistically help.
 //
 // The pool grows on demand (never shrinks) up to the worker counts callers
 // request, so TESSERACT_WORKERS=4 behaves identically on a 1-core and a
 // 64-core host — only the wall-clock differs, never the results.
 #pragma once
 
+#include <algorithm>
+#include <cstdint>
 #include <functional>
+#include <limits>
 
 namespace tsr::rt {
 
@@ -30,9 +34,10 @@ namespace detail {
 extern thread_local int t_host_share;
 }  // namespace detail
 
-/// How many workers a GEMM issued from the calling thread may use without
-/// oversubscribing the host: the full configured worker count from serial
-/// code, the per-scheduler-worker share from inside a rank fiber.
+/// How many workers a data-parallel kernel (GEMM, elementwise pass) issued
+/// from the calling thread may use without oversubscribing the host: the
+/// full configured worker count from serial code, the per-scheduler-worker
+/// share from inside a rank fiber.
 inline int gemm_parallelism() {
   return detail::t_host_share > 0 ? detail::t_host_share : configured_workers();
 }
@@ -66,5 +71,32 @@ class WorkerPool {
   struct Impl;
   Impl* impl_;
 };
+
+/// Runs fn(begin, end) over disjoint chunks tiling [0, n), fanned out over
+/// the worker pool with the gemm_parallelism() budget. Every chunk but the
+/// last is a multiple of `grain` items, about n / (2 * budget) long (2x
+/// oversplit for load balance) and at most max_chunk (rounded down to the
+/// grain, never below it). Runs fn(0, n) inline when the budget is 1 or n is
+/// under two grains. The partition depends on the budget, so callers keep
+/// each item's floating-point sequence independent of it; then results are
+/// bit-identical at every worker count.
+template <typename Fn>
+void parallel_chunks(std::int64_t n, std::int64_t grain, const Fn& fn,
+                     std::int64_t max_chunk =
+                         std::numeric_limits<std::int64_t>::max()) {
+  const int budget = gemm_parallelism();
+  if (budget <= 1 || n < 2 * grain) {
+    if (n > 0) fn(std::int64_t{0}, n);
+    return;
+  }
+  const std::int64_t target = (n + 2 * budget - 1) / (2 * budget);
+  std::int64_t chunk = (target + grain - 1) / grain * grain;
+  chunk = std::max(grain, std::min(chunk, max_chunk / grain * grain));
+  const int nchunks = static_cast<int>((n + chunk - 1) / chunk);
+  WorkerPool::instance().parallel_for(nchunks, budget, [&](int t) {
+    const std::int64_t b = t * chunk;
+    fn(b, std::min(n, b + chunk));
+  });
+}
 
 }  // namespace tsr::rt

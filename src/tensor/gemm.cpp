@@ -214,29 +214,19 @@ void gemm_dot_cols(const KernelVariant& v, bool a_trans, bool b_trans,
 constexpr std::int64_t kMinParallelFlops = 1 << 20;
 
 // Dispatches the column range either serially or as disjoint nr-aligned
-// stripes over the persistent worker pool. Each worker owns its stripe of C
-// outright and packs into its own thread-local arena; per-element FP
-// sequences are independent of the partition, so results are bit-identical
-// for every worker count (and to the serial kernel).
+// stripes over the persistent worker pool (rt::parallel_chunks). Each worker
+// owns its stripe of C outright and packs into its own thread-local arena;
+// per-element FP sequences are independent of the partition, so results are
+// bit-identical for every worker count (and to the serial kernel). Stripes
+// never exceed the cache panel kNC.
 template <typename ColsFn>
 void run_cols(std::int64_t m, std::int64_t n, std::int64_t k, std::int64_t vnr,
               const ColsFn& cols) {
-  const int budget = rt::gemm_parallelism();
-  if (budget <= 1 || 2 * m * n * k < kMinParallelFlops || n < 2 * vnr) {
+  if (2 * m * n * k < kMinParallelFlops) {
     cols(0, n);
     return;
   }
-  // Stripe width: split n across the budget with 2x oversplit for load
-  // balance, but never below a register tile nor above the cache panel.
-  std::int64_t stripe =
-      round_up((n + 2 * budget - 1) / (2 * budget), vnr);
-  if (stripe > kNC) stripe = kNC;
-  const int nstripes = static_cast<int>((n + stripe - 1) / stripe);
-  rt::WorkerPool::instance().parallel_for(
-      nstripes, budget, [&](int s) {
-        const std::int64_t jb = s * stripe;
-        cols(jb, std::min(n, jb + stripe));
-      });
+  rt::parallel_chunks(n, vnr, cols, kNC);
 }
 
 }  // namespace
@@ -326,9 +316,21 @@ Tensor bmm(const Tensor& a, const Tensor& b, Trans ta, Trans tb) {
   const std::int64_t as = a.dim(1) * a.dim(2);
   const std::int64_t bs = b.dim(1) * b.dim(2);
   const std::int64_t cs = m * n;
-  for (std::int64_t i = 0; i < batch; ++i) {
-    gemm(ta, tb, m, n, ka, 1.0f, a.data() + i * as, a.dim(2), b.data() + i * bs,
-         b.dim(2), 0.0f, c.data() + i * cs, n);
+  const auto items = [&](std::int64_t ib, std::int64_t ie) {
+    for (std::int64_t i = ib; i < ie; ++i) {
+      gemm(ta, tb, m, n, ka, 1.0f, a.data() + i * as, a.dim(2),
+           b.data() + i * bs, b.dim(2), 0.0f, c.data() + i * cs, n);
+    }
+  };
+  // Small items run serially inside gemm, so spread the batch over the pool
+  // instead, at least kMinParallelFlops per chunk. Items at or above that
+  // size fan out their own column stripes; fanning out the batch too would
+  // nest the two.
+  const std::int64_t item_flops = 2 * m * n * ka;
+  if (item_flops >= kMinParallelFlops || item_flops == 0) {
+    items(0, batch);
+  } else {
+    rt::parallel_chunks(batch, kMinParallelFlops / item_flops, items);
   }
   return c;
 }

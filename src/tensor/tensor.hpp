@@ -88,6 +88,9 @@ class Tensor {
   bool shares_storage_with(const Tensor& other) const {
     return data_ == other.data_;
   }
+  /// True if no other Tensor (copy or view) shares this storage, so a
+  /// consumer handed this tensor may overwrite it.
+  bool sole_owner() const { return data_.use_count() == 1; }
 
  private:
   Shape shape_;

@@ -122,10 +122,11 @@ TEST(ScanJsonl, CorruptionMidStream) {
 // ---- metric classification and noise band ---------------------------------
 
 TEST(MetricClass, SimClockNamesAreDeterministic) {
-  // table1's fwd_ms/bwd_ms/inference_ms and throughput are SIMULATED numbers
-  // despite the wall-sounding names; only explicit host patterns are host.
+  // table1's fwd_s/bwd_s/inference_per_s and throughput are SIMULATED
+  // numbers despite the wall-sounding names; only explicit host patterns are
+  // host.
   for (const char* m :
-       {"cases/row/fwd_ms", "cases/row/bwd_ms", "cases/row/inference_ms",
+       {"cases/row/fwd_s", "cases/row/bwd_s", "cases/row/inference_per_s",
         "cases/row/throughput", "cases/x/sim_time_s", "cases/x/bytes_sent",
         "makespan_sim_seconds", "cases/x/output_bit_identical_to_w1"}) {
     EXPECT_EQ(classify_metric(m), MetricClass::Deterministic) << m;

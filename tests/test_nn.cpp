@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
+#include <cstring>
+#include <string>
 
 #include "nn/activation.hpp"
 #include "nn/attention.hpp"
@@ -20,6 +23,37 @@
 
 namespace tsr::nn {
 namespace {
+
+// Sets TESSERACT_WORKERS for one scope and restores the previous value;
+// rt::configured_workers() re-reads it on every call, so one process can
+// sweep worker counts.
+class WorkersEnv {
+ public:
+  WorkersEnv() {
+    if (const char* v = std::getenv("TESSERACT_WORKERS")) {
+      had_ = true;
+      old_ = v;
+    }
+  }
+  ~WorkersEnv() {
+    if (had_) {
+      setenv("TESSERACT_WORKERS", old_.c_str(), 1);
+    } else {
+      unsetenv("TESSERACT_WORKERS");
+    }
+  }
+  void set(const char* w) { setenv("TESSERACT_WORKERS", w, 1); }
+
+ private:
+  bool had_ = false;
+  std::string old_;
+};
+
+bool same_bits(const Tensor& a, const Tensor& b) {
+  return a.numel() == b.numel() &&
+         std::memcmp(a.data(), b.data(),
+                     static_cast<std::size_t>(a.numel()) * sizeof(float)) == 0;
+}
 
 TEST(Linear, ShapesAndBias) {
   Rng rng(1);
@@ -98,6 +132,66 @@ TEST(Activation, GeluKnownValues) {
   EXPECT_FLOAT_EQ(y.at(0), 0.0f);
   EXPECT_NEAR(y.at(1), 100.0f, 1e-3f);   // identity for large positive
   EXPECT_NEAR(y.at(2), 0.0f, 1e-3f);     // zero for large negative
+}
+
+// The fused pass behind nn::Gelu and the free functions share one formula
+// and chunk elements over the worker pool; every output must be
+// memcmp-equal to the single-worker free functions at any worker count,
+// including sizes that are not a multiple of the chunk grain.
+TEST(Activation, GeluBitIdenticalAcrossWorkers) {
+  WorkersEnv env;
+  env.set("1");
+  Rng rng(31);
+  for (const Shape& shape : {Shape{3, 5}, Shape{37, 1021}, Shape{256, 1024}}) {
+    const Tensor x = random_normal(shape, rng);
+    const Tensor dy = random_normal(shape, rng);
+    env.set("1");
+    const Tensor y_ref = gelu(x);
+    const Tensor dx_ref = gelu_backward(x, dy);
+    for (const char* w : {"1", "2", "4"}) {
+      env.set(w);
+      const std::string at = shape_to_string(shape) + " W=" + w;
+      EXPECT_TRUE(same_bits(gelu(x), y_ref)) << at;
+      EXPECT_TRUE(same_bits(gelu_backward(x, dy), dx_ref)) << at;
+      Tensor grad;
+      EXPECT_TRUE(same_bits(gelu_with_grad(x, grad), y_ref)) << at;
+      EXPECT_EQ(grad.shape(), shape) << at;
+      // A shared input stays untouched; a handed-over one (the clone) is
+      // overwritten by the cache. Both give the same bits.
+      const Tensor x_before = x.clone();
+      Gelu act;
+      EXPECT_TRUE(same_bits(act.forward(x), y_ref)) << at;
+      EXPECT_TRUE(same_bits(x, x_before)) << at;
+      EXPECT_TRUE(same_bits(act.forward(x.clone()), y_ref)) << at;
+      EXPECT_EQ(act.in_flight(), 2u) << at;
+      EXPECT_EQ(act.cached_bytes(),
+                2 * x.numel() * static_cast<std::int64_t>(sizeof(float)))
+          << at;
+      EXPECT_TRUE(same_bits(act.backward(dy), dx_ref)) << at;
+      EXPECT_TRUE(same_bits(act.backward(dy), dx_ref)) << at;
+      EXPECT_EQ(act.in_flight(), 0u) << at;
+      EXPECT_EQ(act.cached_bytes(), 0) << at;
+    }
+  }
+}
+
+// Several forwards in flight cache one input-sized tensor each and unwind
+// LIFO.
+TEST(Activation, GeluCachesOneTensorPerForward) {
+  Rng rng(32);
+  const Tensor a = random_normal({4, 9}, rng);
+  const Tensor b = random_normal({2, 3}, rng);
+  Gelu act;
+  act.forward(a);
+  act.forward(b);
+  EXPECT_EQ(act.in_flight(), 2u);
+  EXPECT_EQ(act.cached_bytes(), (36 + 6) * static_cast<std::int64_t>(sizeof(float)));
+  const Tensor db = random_normal({2, 3}, rng);
+  EXPECT_TRUE(same_bits(act.backward(db), gelu_backward(b, db)));
+  EXPECT_EQ(act.cached_bytes(), 36 * static_cast<std::int64_t>(sizeof(float)));
+  act.clear_caches();
+  EXPECT_EQ(act.in_flight(), 0u);
+  EXPECT_EQ(act.cached_bytes(), 0);
 }
 
 TEST(Activation, ReluAndBackward) {
@@ -302,6 +396,49 @@ TEST(Optimizer, AdamFirstStepIsLrSized) {
   std::vector<Param*> params{&p};
   opt.step(params);
   EXPECT_NEAR(p.value.at(0), -0.01f, 1e-5f);
+}
+
+// Adam chunks each parameter's update over the worker pool; weights and
+// both moments must be memcmp-equal at every worker count, for sizes on
+// both sides of the chunk grain and not multiples of it.
+TEST(Optimizer, AdamBitIdenticalAcrossWorkers) {
+  WorkersEnv env;
+  const std::vector<Shape> shapes{{1}, {17}, {3, 7001}, {129, 257}, {8191}};
+  struct Run {
+    std::vector<Param> params;
+    Adam opt{3e-3f, 0.9f, 0.999f, 1e-8f, 0.1f};
+  };
+  std::vector<Run> runs(3);
+  const char* workers[] = {"1", "2", "4"};
+  for (std::size_t r = 0; r < runs.size(); ++r) {
+    Rng rng(33);
+    for (const Shape& s : shapes) {
+      Param p(s);
+      p.value = random_normal(s, rng);
+      runs[r].params.push_back(std::move(p));
+    }
+    std::vector<Param*> ptrs;
+    for (Param& p : runs[r].params) ptrs.push_back(&p);
+    env.set(workers[r]);
+    for (int step = 0; step < 3; ++step) {
+      for (Param& p : runs[r].params) p.grad = random_normal(p.value.shape(), rng);
+      runs[r].opt.step(ptrs);
+    }
+  }
+  for (std::size_t r = 1; r < runs.size(); ++r) {
+    for (std::size_t i = 0; i < shapes.size(); ++i) {
+      const std::string at = shape_to_string(shapes[i]) + " W=" + workers[r];
+      Param* base = &runs[0].params[i];
+      Param* other = &runs[r].params[i];
+      EXPECT_TRUE(same_bits(other->value, base->value)) << at;
+      const auto [m0, v0] = runs[0].opt.moments(base);
+      const auto [m1, v1] = runs[r].opt.moments(other);
+      ASSERT_NE(m0, nullptr);
+      ASSERT_NE(m1, nullptr);
+      EXPECT_TRUE(same_bits(*m1, *m0)) << at;
+      EXPECT_TRUE(same_bits(*v1, *v0)) << at;
+    }
+  }
 }
 
 TEST(Optimizer, AdamWeightDecayShrinksWeights) {

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "comm/communicator.hpp"
+#include "nn/optimizer.hpp"
 #include "parallel/context.hpp"
 #include "parallel/dist.hpp"
 #include "parallel/tesseract_transformer.hpp"
@@ -23,6 +24,7 @@
 #include "runtime/sim_clock.hpp"
 #include "runtime/worker_pool.hpp"
 #include "tensor/init.hpp"
+#include "train/lm.hpp"
 
 namespace tsr::rt {
 namespace {
@@ -369,6 +371,75 @@ TEST(Determinism, TesseractStepInvariantAcrossWorkersAndBackends) {
     EXPECT_TRUE(bits_equal(r.y, base.y)) << "y differs on threads W=" << w;
     EXPECT_TRUE(bits_equal(r.dx, base.dx)) << "dx differs on threads W=" << w;
   }
+}
+
+// One causal-LM training step (forward, next-token loss, backward, Adam) at
+// shapes where GELU, softmax, the attention bmm and Adam's largest update
+// all split over the worker pool whenever the budget allows. Returns the
+// loss followed by every parameter after the update (rank 0's shards on a
+// [q,q,d] grid; q == 0 runs the serial LanguageModel).
+std::vector<float> lm_step(int q, int d) {
+  train::LmConfig cfg;
+  cfg.vocab = 64;
+  cfg.seq = 32;
+  cfg.hidden = 64;
+  cfg.heads = 4;
+  cfg.layers = 1;
+  const std::int64_t batch = 16;
+  const train::SyntheticCorpus corpus(static_cast<int>(batch), cfg.seq,
+                                      cfg.vocab, 4, 5);
+  std::vector<int> idx(static_cast<std::size_t>(batch));
+  for (std::size_t i = 0; i < idx.size(); ++i) idx[i] = static_cast<int>(i);
+  const std::vector<int> in = corpus.inputs(idx);
+  const std::vector<int> tgt = corpus.targets(idx);
+  std::vector<float> out;
+  const auto step = [&](auto& model, bool record) {
+    nn::Adam opt(3e-3f);
+    model.zero_grad();
+    const nn::LossResult res =
+        train::next_token_loss(model.forward(in, batch), tgt);
+    model.backward(res.dlogits);
+    opt.step(model.params());
+    if (!record) return;
+    out.push_back(res.loss);
+    for (nn::Param* p : model.params()) {
+      out.insert(out.end(), p->value.data(), p->value.data() + p->numel());
+    }
+  };
+  if (q == 0) {
+    Rng wrng(42);
+    train::LanguageModel model(cfg, wrng);
+    step(model, true);
+    return out;
+  }
+  comm::World world(q * q * d);
+  world.run([&](comm::Communicator& c) {
+    par::TesseractContext ctx(c, q, d);
+    Rng wrng(42);
+    train::TesseractLanguageModel model(ctx, cfg, wrng);
+    step(model, c.rank() == 0);
+  });
+  return out;
+}
+
+// The determinism matrix over the host-parallel elementwise kernels: the
+// serial LM step is byte-identical at 1 and 4 workers, and the [2,2,2] LM
+// step on fibers-W1, fibers-W4 and threads (whose rank threads fan out with
+// the full worker budget).
+TEST(Determinism, LmStepInvariantAcrossWorkersAndBackends) {
+  EnvGuard workers("TESSERACT_WORKERS");
+  EnvGuard spmd("TESSERACT_SPMD");
+  spmd.clear();
+  workers.set("1");
+  const std::vector<float> serial = lm_step(0, 0);
+  const std::vector<float> grid = lm_step(2, 2);
+  ASSERT_FALSE(serial.empty());
+  ASSERT_FALSE(grid.empty());
+  workers.set("4");
+  EXPECT_TRUE(bits_equal(lm_step(0, 0), serial)) << "serial differs at W=4";
+  EXPECT_TRUE(bits_equal(lm_step(2, 2), grid)) << "[2,2,2] differs at W=4";
+  spmd.set("threads");
+  EXPECT_TRUE(bits_equal(lm_step(2, 2), grid)) << "[2,2,2] differs on threads";
 }
 
 // Nested worlds (a rank opening an inner cluster) must stay on the worker
