@@ -18,23 +18,38 @@ namespace {
 
 // ---------------------------------------------------------------------------
 // Micro-kernels. The bit-identity discipline (docs/performance.md): per
-// output element the FP sequence is `acc += a * b` with kk ascending, and
-// the baseline build has no FMA contraction, so any variant that keeps
-// multiply and add as separate rounded operations per element is
-// memcmp-identical to scalar regardless of tile width.
+// output element the FP sequence is `acc += a * b` with kk ascending —
+// starting from the C element in the update form, from zero in the dot form
+// (then c += alpha * acc) — and this file is built without FMA contraction,
+// so any variant that keeps multiply and add as separate rounded operations
+// per element is memcmp-identical to scalar regardless of tile width.
 // ---------------------------------------------------------------------------
 
-void micro_scalar(std::int64_t kc, const float* ap, const float* bp,
-                  float* acc) {
+void micro_scalar(MicroForm form, std::int64_t kc, const float* ap,
+                  const float* bp, float alpha, float* c, std::int64_t ldc) {
+  constexpr std::int64_t kNR = 8;
+  const bool dot = form == MicroForm::dot;
+  float acc[kMicroMR * kNR];
+  for (std::int64_t ii = 0; ii < kMicroMR; ++ii) {
+    for (std::int64_t jj = 0; jj < kNR; ++jj) {
+      acc[ii * kNR + jj] = dot ? 0.0f : c[ii * ldc + jj];
+    }
+  }
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const float* arow = ap + kk * kMicroMR;
-    const float* brow = bp + kk * 8;
+    const float* brow = bp + kk * kNR;
     for (std::int64_t ii = 0; ii < kMicroMR; ++ii) {
       const float aik = arow[ii];
 #pragma omp simd
-      for (std::int64_t jj = 0; jj < 8; ++jj) {
-        acc[ii * 8 + jj] += aik * brow[jj];
+      for (std::int64_t jj = 0; jj < kNR; ++jj) {
+        acc[ii * kNR + jj] += aik * brow[jj];
       }
+    }
+  }
+  for (std::int64_t ii = 0; ii < kMicroMR; ++ii) {
+    for (std::int64_t jj = 0; jj < kNR; ++jj) {
+      float& cij = c[ii * ldc + jj];
+      cij = dot ? cij + alpha * acc[ii * kNR + jj] : acc[ii * kNR + jj];
     }
   }
 }
@@ -49,14 +64,49 @@ void scale_scalar(float* x, float alpha, std::int64_t n) {
 
 #ifdef TSR_X86
 
+// Tile row prologue/epilogue shared by the SIMD kernels: the update form
+// loads the C row and stores the sum back; the dot form starts from zero
+// and stores c + alpha * acc.
+__attribute__((target("avx2"))) inline __m256 row_begin8(MicroForm form,
+                                                         const float* c) {
+  return form == MicroForm::dot ? _mm256_setzero_ps() : _mm256_loadu_ps(c);
+}
+
+__attribute__((target("avx2"))) inline void row_end8(MicroForm form,
+                                                     float alpha, __m256 acc,
+                                                     float* c) {
+  if (form == MicroForm::dot) {
+    acc = _mm256_add_ps(_mm256_loadu_ps(c),
+                        _mm256_mul_ps(_mm256_set1_ps(alpha), acc));
+  }
+  _mm256_storeu_ps(c, acc);
+}
+
+__attribute__((target("avx512f"))) inline __m512 row_begin16(MicroForm form,
+                                                             const float* c) {
+  return form == MicroForm::dot ? _mm512_setzero_ps() : _mm512_loadu_ps(c);
+}
+
+__attribute__((target("avx512f"))) inline void row_end16(MicroForm form,
+                                                         float alpha,
+                                                         __m512 acc, float* c) {
+  if (form == MicroForm::dot) {
+    acc = _mm512_add_ps(_mm512_loadu_ps(c),
+                        _mm512_mul_ps(_mm512_set1_ps(alpha), acc));
+  }
+  _mm512_storeu_ps(c, acc);
+}
+
 // AVX2 4x8 tile, separate mul+add — bit-identical to micro_scalar.
-__attribute__((target("avx2"))) void micro_avx2(std::int64_t kc,
+__attribute__((target("avx2"))) void micro_avx2(MicroForm form,
+                                                std::int64_t kc,
                                                 const float* ap,
-                                                const float* bp, float* acc) {
-  __m256 c0 = _mm256_loadu_ps(acc);
-  __m256 c1 = _mm256_loadu_ps(acc + 8);
-  __m256 c2 = _mm256_loadu_ps(acc + 16);
-  __m256 c3 = _mm256_loadu_ps(acc + 24);
+                                                const float* bp, float alpha,
+                                                float* c, std::int64_t ldc) {
+  __m256 c0 = row_begin8(form, c);
+  __m256 c1 = row_begin8(form, c + ldc);
+  __m256 c2 = row_begin8(form, c + 2 * ldc);
+  __m256 c3 = row_begin8(form, c + 3 * ldc);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const __m256 b = _mm256_loadu_ps(bp + kk * 8);
     const float* arow = ap + kk * 4;
@@ -65,23 +115,22 @@ __attribute__((target("avx2"))) void micro_avx2(std::int64_t kc,
     c2 = _mm256_add_ps(c2, _mm256_mul_ps(_mm256_broadcast_ss(arow + 2), b));
     c3 = _mm256_add_ps(c3, _mm256_mul_ps(_mm256_broadcast_ss(arow + 3), b));
   }
-  _mm256_storeu_ps(acc, c0);
-  _mm256_storeu_ps(acc + 8, c1);
-  _mm256_storeu_ps(acc + 16, c2);
-  _mm256_storeu_ps(acc + 24, c3);
+  row_end8(form, alpha, c0, c);
+  row_end8(form, alpha, c1, c + ldc);
+  row_end8(form, alpha, c2, c + 2 * ldc);
+  row_end8(form, alpha, c3, c + 3 * ldc);
 }
 
 // AVX-512 4x16 tile, same mul+add discipline — still memcmp-identical: the
 // wider tile only changes which elements share a register, not any
 // per-element rounding sequence.
-__attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
-                                                     const float* ap,
-                                                     const float* bp,
-                                                     float* acc) {
-  __m512 c0 = _mm512_loadu_ps(acc);
-  __m512 c1 = _mm512_loadu_ps(acc + 16);
-  __m512 c2 = _mm512_loadu_ps(acc + 32);
-  __m512 c3 = _mm512_loadu_ps(acc + 48);
+__attribute__((target("avx512f"))) void micro_avx512(
+    MicroForm form, std::int64_t kc, const float* ap, const float* bp,
+    float alpha, float* c, std::int64_t ldc) {
+  __m512 c0 = row_begin16(form, c);
+  __m512 c1 = row_begin16(form, c + ldc);
+  __m512 c2 = row_begin16(form, c + 2 * ldc);
+  __m512 c3 = row_begin16(form, c + 3 * ldc);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const __m512 b = _mm512_loadu_ps(bp + kk * 16);
     const float* arow = ap + kk * 4;
@@ -90,23 +139,22 @@ __attribute__((target("avx512f"))) void micro_avx512(std::int64_t kc,
     c2 = _mm512_add_ps(c2, _mm512_mul_ps(_mm512_set1_ps(arow[2]), b));
     c3 = _mm512_add_ps(c3, _mm512_mul_ps(_mm512_set1_ps(arow[3]), b));
   }
-  _mm512_storeu_ps(acc, c0);
-  _mm512_storeu_ps(acc + 16, c1);
-  _mm512_storeu_ps(acc + 32, c2);
-  _mm512_storeu_ps(acc + 48, c3);
+  row_end16(form, alpha, c0, c);
+  row_end16(form, alpha, c1, c + ldc);
+  row_end16(form, alpha, c2, c + 2 * ldc);
+  row_end16(form, alpha, c3, c + 3 * ldc);
 }
 
 // Fused multiply-add: one rounding per term instead of two. More accurate
 // per element but a *different* result, hence tolerance-gated and excluded
 // from auto dispatch.
-__attribute__((target("avx2,fma"))) void micro_avx2fma(std::int64_t kc,
-                                                       const float* ap,
-                                                       const float* bp,
-                                                       float* acc) {
-  __m256 c0 = _mm256_loadu_ps(acc);
-  __m256 c1 = _mm256_loadu_ps(acc + 8);
-  __m256 c2 = _mm256_loadu_ps(acc + 16);
-  __m256 c3 = _mm256_loadu_ps(acc + 24);
+__attribute__((target("avx2,fma"))) void micro_avx2fma(
+    MicroForm form, std::int64_t kc, const float* ap, const float* bp,
+    float alpha, float* c, std::int64_t ldc) {
+  __m256 c0 = row_begin8(form, c);
+  __m256 c1 = row_begin8(form, c + ldc);
+  __m256 c2 = row_begin8(form, c + 2 * ldc);
+  __m256 c3 = row_begin8(form, c + 3 * ldc);
   for (std::int64_t kk = 0; kk < kc; ++kk) {
     const __m256 b = _mm256_loadu_ps(bp + kk * 8);
     const float* arow = ap + kk * 4;
@@ -115,10 +163,10 @@ __attribute__((target("avx2,fma"))) void micro_avx2fma(std::int64_t kc,
     c2 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 2), b, c2);
     c3 = _mm256_fmadd_ps(_mm256_broadcast_ss(arow + 3), b, c3);
   }
-  _mm256_storeu_ps(acc, c0);
-  _mm256_storeu_ps(acc + 8, c1);
-  _mm256_storeu_ps(acc + 16, c2);
-  _mm256_storeu_ps(acc + 24, c3);
+  row_end8(form, alpha, c0, c);
+  row_end8(form, alpha, c1, c + ldc);
+  row_end8(form, alpha, c2, c + 2 * ldc);
+  row_end8(form, alpha, c3, c + 3 * ldc);
 }
 
 // Elementwise ops are per-element independent, so the vectorized mul+add

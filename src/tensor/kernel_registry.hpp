@@ -35,11 +35,20 @@ namespace tsr {
 /// and zero-padding assume it; see gemm.cpp).
 inline constexpr std::int64_t kMicroMR = 4;
 
-/// Rank-kc update of a kMicroMR x nr register tile held in `acc` (row-major,
-/// row stride = the variant's nr): acc[ii][jj] += ap[kk][ii] * bp[kk][jj],
-/// kk ascending. ap/bp are the packed [kk][mr] / [kk][nr] panels.
-using MicroKernelFn = void (*)(std::int64_t kc, const float* ap,
-                               const float* bp, float* acc);
+/// The two rounding disciplines of the packed GEMM (docs/performance.md),
+/// as applied by a micro-kernel to its C tile:
+///   update — load the tile from C, add ap[kk][ii] * bp[kk][jj] for kk
+///            ascending (alpha is already folded into the packed A), store;
+///   dot    — start an accumulator at zero, add ap[kk][ii] * bp[kk][jj] for
+///            kk ascending, then c += alpha * acc once.
+enum class MicroForm { update, dot };
+
+/// One kMicroMR x nr tile of C (row-major, row stride ldc) over the packed
+/// [kk][kMicroMR] / [kk][nr] panels ap/bp of depth kc. The tile lives in
+/// registers for the whole call; `alpha` is read by the dot form only.
+using MicroKernelFn = void (*)(MicroForm form, std::int64_t kc,
+                               const float* ap, const float* bp, float alpha,
+                               float* c, std::int64_t ldc);
 
 /// Storage-precision hook applied to each operand element at pack time
 /// (before the alpha scale); null means identity (fp32 storage).

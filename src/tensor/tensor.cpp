@@ -91,44 +91,8 @@ Tensor Tensor::of(std::initializer_list<float> values) {
               Shape{static_cast<std::int64_t>(values.size())});
 }
 
-std::int64_t Tensor::dim(std::int64_t i) const {
-  if (i < 0) i += ndim();
-  check(i >= 0 && i < ndim(), "Tensor::dim: index out of range");
-  return shape_[static_cast<std::size_t>(i)];
-}
-
-namespace {
-inline std::int64_t idx2(const Shape& s, std::int64_t i, std::int64_t j) {
-  return i * s[1] + j;
-}
-inline std::int64_t idx3(const Shape& s, std::int64_t i, std::int64_t j,
-                         std::int64_t k) {
-  return (i * s[1] + j) * s[2] + k;
-}
-inline std::int64_t idx4(const Shape& s, std::int64_t i, std::int64_t j,
-                         std::int64_t k, std::int64_t l) {
-  return ((i * s[1] + j) * s[2] + k) * s[3] + l;
-}
-}  // namespace
-
-float& Tensor::at(std::int64_t i) { return data_[i]; }
-float Tensor::at(std::int64_t i) const { return data_[i]; }
-float& Tensor::at(std::int64_t i, std::int64_t j) { return data_[idx2(shape_, i, j)]; }
-float Tensor::at(std::int64_t i, std::int64_t j) const {
-  return data_[idx2(shape_, i, j)];
-}
-float& Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k) {
-  return data_[idx3(shape_, i, j, k)];
-}
-float Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k) const {
-  return data_[idx3(shape_, i, j, k)];
-}
-float& Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) {
-  return data_[idx4(shape_, i, j, k, l)];
-}
-float Tensor::at(std::int64_t i, std::int64_t j, std::int64_t k,
-                 std::int64_t l) const {
-  return data_[idx4(shape_, i, j, k, l)];
+void Tensor::dim_out_of_range() {
+  throw std::invalid_argument("Tensor::dim: index out of range");
 }
 
 Tensor Tensor::reshape(Shape new_shape) const {

@@ -28,7 +28,8 @@ std::string shape_to_string(const Shape& shape);
 /// Dense, contiguous, row-major float tensor.
 ///
 /// Copying a Tensor is cheap (shared storage); use clone() for a deep copy.
-/// Element accessors bounds-check in debug builds only (TSR_CHECK_BOUNDS).
+/// The element accessors at() do not bounds-check; they are inline so that
+/// loops over them compile to plain indexed loads and stores.
 class Tensor {
  public:
   /// An empty tensor (numel() == 0, ndim() == 0).
@@ -50,7 +51,12 @@ class Tensor {
 
   const Shape& shape() const { return shape_; }
   std::int64_t ndim() const { return static_cast<std::int64_t>(shape_.size()); }
-  std::int64_t dim(std::int64_t i) const;
+  /// Size of dimension i; negative i counts from the back.
+  std::int64_t dim(std::int64_t i) const {
+    if (i < 0) i += ndim();
+    if (i < 0 || i >= ndim()) dim_out_of_range();
+    return shape_[static_cast<std::size_t>(i)];
+  }
   std::int64_t numel() const { return numel_; }
   bool empty() const { return numel_ == 0; }
 
@@ -62,14 +68,25 @@ class Tensor {
   }
 
   /// Element access (row-major). 1-4 index overloads.
-  float& at(std::int64_t i);
-  float at(std::int64_t i) const;
-  float& at(std::int64_t i, std::int64_t j);
-  float at(std::int64_t i, std::int64_t j) const;
-  float& at(std::int64_t i, std::int64_t j, std::int64_t k);
-  float at(std::int64_t i, std::int64_t j, std::int64_t k) const;
-  float& at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l);
-  float at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) const;
+  float& at(std::int64_t i) { return data_[i]; }
+  float at(std::int64_t i) const { return data_[i]; }
+  float& at(std::int64_t i, std::int64_t j) { return data_[i * shape_[1] + j]; }
+  float at(std::int64_t i, std::int64_t j) const {
+    return data_[i * shape_[1] + j];
+  }
+  float& at(std::int64_t i, std::int64_t j, std::int64_t k) {
+    return data_[(i * shape_[1] + j) * shape_[2] + k];
+  }
+  float at(std::int64_t i, std::int64_t j, std::int64_t k) const {
+    return data_[(i * shape_[1] + j) * shape_[2] + k];
+  }
+  float& at(std::int64_t i, std::int64_t j, std::int64_t k, std::int64_t l) {
+    return data_[((i * shape_[1] + j) * shape_[2] + k) * shape_[3] + l];
+  }
+  float at(std::int64_t i, std::int64_t j, std::int64_t k,
+           std::int64_t l) const {
+    return data_[((i * shape_[1] + j) * shape_[2] + k) * shape_[3] + l];
+  }
 
   /// View with a new shape sharing storage; numel must match.
   Tensor reshape(Shape new_shape) const;
@@ -93,6 +110,8 @@ class Tensor {
   bool sole_owner() const { return data_.use_count() == 1; }
 
  private:
+  [[noreturn]] static void dim_out_of_range();
+
   Shape shape_;
   std::int64_t numel_ = 0;
   std::shared_ptr<float[]> data_;

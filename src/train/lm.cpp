@@ -83,9 +83,9 @@ Tensor embed_tokens(nn::Embedding& tok, const nn::Param& pos,
   check(x.dim(1) == seq, "embed_tokens: sequence length mismatch");
   for (std::int64_t b = 0; b < batch; ++b) {
     for (std::int64_t t = 0; t < seq; ++t) {
-      for (std::int64_t e = 0; e < hidden; ++e) {
-        x.at(b, t, e) += pos.value.at(t, e);
-      }
+      float* xr = &x.at(b, t, 0);
+      const float* pr = pos.value.data() + t * pos.value.dim(1);
+      for (std::int64_t e = 0; e < hidden; ++e) xr[e] += pr[e];
     }
   }
   return x;
@@ -127,11 +127,12 @@ void check_step_capacity(const LmDecodeState& state) {
 
 void embed_backward(nn::Embedding& tok, nn::Param& pos, const Tensor& dx) {
   tok.backward(dx);
-  for (std::int64_t b = 0; b < dx.dim(0); ++b) {
-    for (std::int64_t t = 0; t < dx.dim(1); ++t) {
-      for (std::int64_t e = 0; e < dx.dim(2); ++e) {
-        pos.grad.at(t, e) += dx.at(b, t, e);
-      }
+  const std::int64_t batch = dx.dim(0), seq = dx.dim(1), hidden = dx.dim(2);
+  for (std::int64_t b = 0; b < batch; ++b) {
+    for (std::int64_t t = 0; t < seq; ++t) {
+      const float* dr = dx.data() + (b * seq + t) * hidden;
+      float* gr = &pos.grad.at(t, 0);
+      for (std::int64_t e = 0; e < hidden; ++e) gr[e] += dr[e];
     }
   }
 }

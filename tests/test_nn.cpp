@@ -2,6 +2,7 @@
 // invariants) and optimizers. Gradient correctness lives in test_nn_grad.cpp.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <cstring>
@@ -18,6 +19,7 @@
 #include "nn/optimizer.hpp"
 #include "nn/softmax.hpp"
 #include "nn/transformer.hpp"
+#include "obs/memory.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernels.hpp"
 
@@ -439,6 +441,34 @@ TEST(Optimizer, AdamBitIdenticalAcrossWorkers) {
       EXPECT_TRUE(same_bits(*v1, *v0)) << at;
     }
   }
+}
+
+// After its first step on a parameter an optimizer holds all the state it
+// needs: later steps must build no tensor, not even one freed at once. Each
+// run sizes its parameter so that the live tensor bytes after step 1 are the
+// process high-water mark; any tensor a later step built would raise it.
+TEST(Optimizer, LaterStepsAllocateNoTensors) {
+  const auto check_steady = [](const char* name, Optimizer& opt) {
+    const std::int64_t spare =
+        obs::peak_tensor_bytes() - obs::live_tensor_bytes();
+    const std::int64_t n = std::max<std::int64_t>(
+        1 << 16, spare / (3 * static_cast<std::int64_t>(sizeof(float))) + 1024);
+    Param p({n});
+    p.value.fill(0.5f);
+    p.grad.fill(0.25f);
+    std::vector<Param*> params{&p};
+    opt.step(params);
+    const std::int64_t peak = obs::peak_tensor_bytes();
+    ASSERT_EQ(peak, obs::live_tensor_bytes()) << name;
+    for (int step = 2; step <= 4; ++step) opt.step(params);
+    EXPECT_EQ(obs::peak_tensor_bytes(), peak) << name;
+  };
+  SGD sgd(0.1f, /*momentum=*/0.9f);
+  check_steady("SGD", sgd);
+  Lamb lamb(1e-3f);
+  check_steady("Lamb", lamb);
+  Adam adam(1e-3f);
+  check_steady("Adam", adam);
 }
 
 TEST(Optimizer, AdamWeightDecayShrinksWeights) {
