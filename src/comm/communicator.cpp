@@ -137,7 +137,7 @@ void World::install_fault_plan(const fault::FaultPlan& plan) {
   // Every install resets the mailbox receive timeouts to the new plan's
   // value (<= 0 disables), BEFORE the empty-plan early return: a replaced
   // or cleared plan must not leak the previous plan's timeout into later
-  // runs on this World (back-to-back serving sweeps reuse one process).
+  // runs on this World (back-to-back sweeps reuse one process).
   for (auto& mb : mailboxes_) mb->set_recv_timeout_ms(plan.recv_timeout_ms);
   if (plan.empty()) return;  // byte-identity guarantee: nothing installed
   fault::note_installed_plan(plan);  // envelope stamp for exported reports

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <stdexcept>
 #include <vector>
 
 #include "runtime/worker_pool.hpp"
@@ -14,10 +15,7 @@ namespace {
 
 // Packed, cache-blocked GEMM built around one register-tile micro-kernel,
 // selected per call from the kernel variant registry (kernel_registry.hpp):
-// the variant supplies the micro-kernel, its register tile width nr, and an
-// optional storage-precision hook applied at pack time (bf16). Variants
-// whose math does not fit the packed fp32 scheme (int8) override the whole
-// kernel instead via gemm_full.
+// the variant supplies the micro-kernel and its register tile width nr.
 //
 // Both operands are repacked into contiguous [k][kMR] / [k][nr] micro-panels
 // so the inner loops run at unit stride regardless of the original leading
@@ -27,9 +25,8 @@ namespace {
 // micro-kernel keeps its kMR x nr tile of C in registers across a k panel
 // and touches C only at the ends (MicroForm in kernel_registry.hpp).
 //
-// Numerics of the memcmp-gated variants are bit-identical to the scalar
-// loops this replaces. Two rounding disciplines exist and are preserved
-// exactly:
+// Numerics of every variant are bit-identical to the scalar loops this
+// replaces. Two rounding disciplines exist and are preserved exactly:
 //   * update form (N/N, T/N): every k-term is accumulated straight into C
 //     in ascending k order, with alpha folded into the packed A element.
 //     Each k panel loads the C tile, adds its terms and stores it back; a
@@ -55,24 +52,6 @@ std::int64_t round_up(std::int64_t x, std::int64_t q) {
   return (x + q - 1) / q * q;
 }
 
-// Storage precision of a variant without a quantize hook: a plain copy, so
-// the pack loops below compile to straight (vectorizable) loads and stores.
-struct Fp32 {
-  float operator()(float x) const { return x; }
-};
-
-// Calls fn with the variant's storage precision as a functor: Fp32, or its
-// quantize hook (bf16). Instantiating the pack loops per precision keeps the
-// hook's indirect call out of the fp32 element loops.
-template <typename Fn>
-void with_precision(const KernelVariant& v, const Fn& fn) {
-  if (v.quantize == nullptr) {
-    fn(Fp32{});
-  } else {
-    fn(v.quantize);
-  }
-}
-
 // Packs rows [ib, ie) of the op(A) row slab that starts at row i0 and is
 // mp rows tall (a multiple of kMR), over the whole k extent, as successive
 // k panels of depth kcmax (the last one shorter): panel k0 holds mp/kMR
@@ -80,12 +59,9 @@ void with_precision(const KernelVariant& v, const Fn& fn) {
 // k0 * mp + ip * kc. ib is a multiple of kMR; rows from ie up to the next
 // multiple of kMR are zero-padded. Each element is scaled by `scale`.
 // trans: element (i, kk) of op(A) is a[kk*lda + i] instead of a[i*lda + kk].
-// `q` is the variant's storage precision (bf16 rounding), applied to the raw
-// element BEFORE the alpha scale so the scale stays fp32-exact.
-template <typename Q>
 void pack_a(bool trans, const float* a, std::int64_t lda, std::int64_t i0,
             std::int64_t ib, std::int64_t ie, std::int64_t mp, std::int64_t k,
-            std::int64_t kcmax, float scale, Q q, float* apack) {
+            std::int64_t kcmax, float scale, float* apack) {
   for (std::int64_t k0 = 0; k0 < k; k0 += kcmax) {
     const std::int64_t kc = std::min(kcmax, k - k0);
     for (std::int64_t ip = ib; ip < ie; ip += kMR) {
@@ -95,14 +71,14 @@ void pack_a(bool trans, const float* a, std::int64_t lda, std::int64_t i0,
         for (std::int64_t kk = 0; kk < kc; ++kk) {
           const float* col = a + (k0 + kk) * lda + i0 + ip;
           for (std::int64_t ii = 0; ii < mr; ++ii) {
-            dst[kk * kMR + ii] = scale * q(col[ii]);
+            dst[kk * kMR + ii] = scale * col[ii];
           }
         }
       } else {
         for (std::int64_t ii = 0; ii < mr; ++ii) {
           const float* row = a + (i0 + ip + ii) * lda + k0;
           for (std::int64_t kk = 0; kk < kc; ++kk) {
-            dst[kk * kMR + ii] = scale * q(row[kk]);
+            dst[kk * kMR + ii] = scale * row[kk];
           }
         }
       }
@@ -116,23 +92,22 @@ void pack_a(bool trans, const float* a, std::int64_t lda, std::int64_t i0,
 // Packs op(B)[k0:k0+kc][j0:j0+nc] as ceil(nc/vnr) micro-panels of layout
 // [kk][vnr], short panels zero-padded.
 // trans: element (kk, j) of op(B) is b[j*ldb + kk] instead of b[kk*ldb + j].
-template <typename Q>
 void pack_b(bool trans, const float* b, std::int64_t ldb, std::int64_t k0,
             std::int64_t j0, std::int64_t kc, std::int64_t nc,
-            std::int64_t vnr, Q q, float* dst) {
+            std::int64_t vnr, float* dst) {
   for (std::int64_t jp = 0; jp < nc; jp += vnr) {
     const std::int64_t nr = std::min(vnr, nc - jp);
     if (trans) {
       for (std::int64_t jj = 0; jj < nr; ++jj) {
         const float* col = b + (j0 + jp + jj) * ldb + k0;
         for (std::int64_t kk = 0; kk < kc; ++kk) {
-          dst[kk * vnr + jj] = q(col[kk]);
+          dst[kk * vnr + jj] = col[kk];
         }
       }
     } else {
       for (std::int64_t kk = 0; kk < kc; ++kk) {
         const float* row = b + (k0 + kk) * ldb + j0 + jp;
-        for (std::int64_t jj = 0; jj < nr; ++jj) dst[kk * vnr + jj] = q(row[jj]);
+        for (std::int64_t jj = 0; jj < nr; ++jj) dst[kk * vnr + jj] = row[jj];
       }
     }
     for (std::int64_t kk = 0; kk < kc; ++kk) {
@@ -230,9 +205,7 @@ void gemm_cols(const KernelVariant& v, MicroForm form, std::int64_t kcmax,
     const float* apanel = apack + k0 * mp;
     for (std::int64_t j0 = jb; j0 < je; j0 += kNC) {
       const std::int64_t nc = std::min(kNC, je - j0);
-      with_precision(v, [&](auto q) {
-        pack_b(b_trans, b, ldb, k0, j0, kc, nc, vnr, q, bpack);
-      });
+      pack_b(b_trans, b, ldb, k0, j0, kc, nc, vnr, bpack);
       for (std::int64_t jp = 0; jp < nc; jp += vnr) {
         const std::int64_t nr = std::min(vnr, nc - jp);
         const float* bp = bpack + (jp / vnr) * kc * vnr;
@@ -281,12 +254,6 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
     scale_c(beta, c, ldc, m, 0, n);
     return;
   }
-  if (v.gemm_full != nullptr) {
-    scale_c(beta, c, ldc, m, 0, n);
-    v.gemm_full(ta == Trans::T, tb == Trans::T, m, n, k, alpha, a, lda, b,
-                ldb, c, ldc);
-    return;
-  }
   const bool a_trans = ta == Trans::T;
   const bool b_trans = tb == Trans::T;
   const MicroForm form = b_trans ? MicroForm::dot : MicroForm::update;
@@ -300,9 +267,7 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
     const std::int64_t flops = 2 * mc * n * k;
     float* apack = acquire(t_scratch.apack, mp * k);
     fan_out(flops, mc, kMC, kMC, [&](std::int64_t ib, std::int64_t ie) {
-      with_precision(v, [&](auto q) {
-        pack_a(a_trans, a, lda, i0, ib, ie, mp, k, kcmax, scale, q, apack);
-      });
+      pack_a(a_trans, a, lda, i0, ib, ie, mp, k, kcmax, scale, apack);
     });
     float* cslab = c + i0 * ldc;
     fan_out(flops, n, v.nr, kNC, [&](std::int64_t jb, std::int64_t je) {
@@ -320,9 +285,11 @@ void matmul_dims(const Tensor& a, const Tensor& b, Trans ta, Trans tb,
   const std::int64_t ka = ta == Trans::N ? a.dim(1) : a.dim(0);
   const std::int64_t kb = tb == Trans::N ? b.dim(0) : b.dim(1);
   n = tb == Trans::N ? b.dim(1) : b.dim(0);
-  check(ka == kb, "matmul: inner dimensions mismatch: " +
-                      shape_to_string(a.shape()) + " x " +
-                      shape_to_string(b.shape()));
+  if (ka != kb) {
+    throw std::invalid_argument("matmul: inner dimensions mismatch: " +
+                                shape_to_string(a.shape()) + " x " +
+                                shape_to_string(b.shape()));
+  }
   k = ka;
 }
 }  // namespace

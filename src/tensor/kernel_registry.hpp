@@ -7,18 +7,11 @@
 //             every output element sees the exact FP sequence of scalar:
 //             memcmp-identical, safe to auto-dispatch.
 //   avx512  — 4x16 tile, same mul+add discipline, memcmp-identical.
-//   avx2fma — 4x8 tile using fused multiply-add. Faster and *more* accurate
-//             per element, but a different rounding sequence: tolerance gate,
-//             never auto-dispatched (TESSERACT_KERNEL=avx2fma only).
-//   bf16    — operands rounded to bfloat16 at pack time, fp32 accumulate
-//             (the Mesh-TensorFlow mixed-precision recipe). Tolerance gate.
-//   int8    — per-tensor symmetric int8 quantization with int32 accumulate;
-//             the inference path. Tolerance gate.
 //
-// Selection: TESSERACT_KERNEL=<name> forces a variant (an unavailable or
-// unknown name falls back to scalar); with no override the best available
-// memcmp-identical variant is chosen from cpuid, so a default run is
-// byte-identical to the scalar build on any host. The active variant is
+// Every variant is memcmp-identical to scalar, so the choice never changes a
+// result. Selection: TESSERACT_KERNEL=<name> forces a variant (an
+// unavailable or unknown name falls back to scalar); with no override the
+// widest variant the host supports is chosen from cpuid. The active variant is
 // stamped into report envelopes (perf::stamp_envelope) and recorded as the
 // `kernel.variant` gauge.
 #pragma once
@@ -50,18 +43,6 @@ using MicroKernelFn = void (*)(MicroForm form, std::int64_t kc,
                                const float* ap, const float* bp, float alpha,
                                float* c, std::int64_t ldc);
 
-/// Storage-precision hook applied to each operand element at pack time
-/// (before the alpha scale); null means identity (fp32 storage).
-using PackQuantizeFn = float (*)(float x);
-
-/// Whole-GEMM override for variants whose math does not decompose into the
-/// packed fp32 panel scheme (int8): C += alpha * op(A) * op(B), with C
-/// already beta-scaled by the caller.
-using GemmFullFn = void (*)(bool a_trans, bool b_trans, std::int64_t m,
-                            std::int64_t n, std::int64_t k, float alpha,
-                            const float* a, std::int64_t lda, const float* b,
-                            std::int64_t ldb, float* c, std::int64_t ldc);
-
 /// Elementwise y[i] += alpha * x[i] and x[i] *= alpha.
 using AxpyFn = void (*)(float alpha, const float* x, float* y, std::int64_t n);
 using ScaleFn = void (*)(float* x, float alpha, std::int64_t n);
@@ -69,18 +50,10 @@ using ScaleFn = void (*)(float* x, float alpha, std::int64_t n);
 struct KernelVariant {
   const char* name;
   std::int64_t nr;            ///< register tile width (micro-panel stride)
-  MicroKernelFn micro;        ///< null only when gemm_full is set
-  PackQuantizeFn quantize;    ///< storage precision at pack time (may be null)
-  GemmFullFn gemm_full;       ///< whole-gemm override (may be null)
+  MicroKernelFn micro;
   AxpyFn axpy;
   ScaleFn scale;
   bool (*available)(const CpuFeatures& f);
-  /// "memcmp" = results must be bit-identical to scalar; "tolerance" =
-  /// precision legitimately changes, bounded by the documented gate
-  /// (docs/performance.md) and enforced in tests/test_kernel_registry.cpp.
-  const char* gate;
-  /// Eligible for cpuid-based default dispatch (memcmp variants only).
-  bool auto_dispatch;
 };
 
 /// The full table, in fixed registry order (scalar first).
@@ -92,8 +65,8 @@ const KernelVariant* find_kernel_variant(std::string_view name);
 /// Pure resolution rule (unit-testable without touching the host cpuid):
 /// a non-empty `forced` name selects that variant if it exists and is
 /// available under `f`, else scalar (graceful fallback — e.g. AVX absent);
-/// an empty name selects the last available auto_dispatch variant in table
-/// order (avx512 > avx2 > scalar).
+/// an empty name selects the last available variant in table order
+/// (avx512 > avx2 > scalar).
 const KernelVariant& resolve_kernel_variant(std::string_view forced,
                                             const CpuFeatures& f);
 

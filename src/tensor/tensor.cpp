@@ -12,7 +12,7 @@
 
 namespace tsr {
 
-void check(bool cond, const std::string& what) {
+void check(bool cond, const char* what) {
   if (!cond) {
     throw std::invalid_argument(what);
   }
@@ -21,7 +21,10 @@ void check(bool cond, const std::string& what) {
 std::int64_t shape_numel(const Shape& shape) {
   std::int64_t n = 1;
   for (std::int64_t d : shape) {
-    check(d >= 0, "negative dimension in shape " + shape_to_string(shape));
+    if (d < 0) {
+      throw std::invalid_argument("negative dimension in shape " +
+                                  shape_to_string(shape));
+    }
     n *= d;
   }
   return n;
@@ -77,8 +80,11 @@ Tensor Tensor::from(std::vector<float> values, Shape shape) {
 }
 
 Tensor Tensor::from(std::span<const float> values, Shape shape) {
-  check(static_cast<std::int64_t>(values.size()) == shape_numel(shape),
-        "Tensor::from: value count does not match shape " + shape_to_string(shape));
+  if (static_cast<std::int64_t>(values.size()) != shape_numel(shape)) {
+    throw std::invalid_argument(
+        "Tensor::from: value count does not match shape " +
+        shape_to_string(shape));
+  }
   Tensor t(std::move(shape));
   if (!values.empty()) {
     std::memcpy(t.data(), values.data(), values.size() * sizeof(float));
@@ -96,9 +102,11 @@ void Tensor::dim_out_of_range() {
 }
 
 Tensor Tensor::reshape(Shape new_shape) const {
-  check(shape_numel(new_shape) == numel_,
-        "Tensor::reshape: cannot reshape " + shape_to_string(shape_) + " to " +
-            shape_to_string(new_shape));
+  if (shape_numel(new_shape) != numel_) {
+    throw std::invalid_argument("Tensor::reshape: cannot reshape " +
+                                shape_to_string(shape_) + " to " +
+                                shape_to_string(new_shape));
+  }
   Tensor view;
   view.shape_ = std::move(new_shape);
   view.numel_ = numel_;

@@ -118,7 +118,10 @@ class Tensor {
 };
 
 /// Throwing check used across the library: aborts the computation with
-/// std::invalid_argument carrying `what` when `cond` is false.
-void check(bool cond, const std::string& what);
+/// std::invalid_argument carrying `what` when `cond` is false. `what` is a
+/// plain C string so a passing check allocates nothing; a message that needs
+/// formatting is built only in the failing branch
+/// (`if (!cond) throw std::invalid_argument(...)`).
+void check(bool cond, const char* what);
 
 }  // namespace tsr

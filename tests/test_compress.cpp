@@ -1,8 +1,9 @@
-// bf16 wire compression: encode/decode identity against the bf16 rounding
-// primitive, the compressed all-reduce's all-rank agreement, its halved wire
-// bytes, bit-identity across all three scheduler backends, tolerance vs the
-// uncompressed reduction, and the TESSERACT_COMPRESS_DEPTH gating of the
-// Tesseract depth sites.
+// bf16 wire compression: the bf16 rounding primitive (round-trip bound,
+// round-to-nearest-even), encode/decode identity against it, the compressed
+// all-reduce's all-rank agreement, its halved wire bytes, bit-identity
+// across all three scheduler backends, tolerance vs the uncompressed
+// reduction, and the TESSERACT_COMPRESS_DEPTH gating of the Tesseract depth
+// sites.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -55,6 +56,35 @@ std::vector<float> rank_data(int rank, std::int64_t n) {
         (static_cast<float>(h % 20001u) - 10000.0f) / 10000.0f;
   }
   return v;
+}
+
+// ---- bf16 primitives --------------------------------------------------------
+
+TEST(Bf16, RoundTripWithinRelativeBound) {
+  // bf16 keeps 8 mantissa bits: round-to-nearest error <= 2^-9 relative,
+  // bounded here by the documented 2^-8.
+  const float kBound = 1.0f / 256.0f;
+  const float cases[] = {1.0f,      -1.0f,     0.3333333f, 3.1415926f,
+                         1e-8f,     -2.5e6f,   65504.0f,   1.0000001f,
+                         0.0078125f, -0.1f,    123456.78f};
+  for (float x : cases) {
+    const float rt = bf16_round(x);
+    EXPECT_LE(std::fabs(rt - x), std::fabs(x) * kBound) << x;
+    // Idempotent: a bf16-representable value encodes to itself.
+    EXPECT_EQ(bf16_round(rt), rt) << x;
+  }
+  // Exactly representable values survive unchanged (sign, zero, powers of 2).
+  EXPECT_EQ(bf16_round(0.0f), 0.0f);
+  EXPECT_EQ(bf16_round(1.0f), 1.0f);
+  EXPECT_EQ(bf16_round(-0.5f), -0.5f);
+  EXPECT_EQ(bf16_round(256.0f), 256.0f);
+}
+
+TEST(Bf16, RoundsToNearestEven) {
+  // 1 + 2^-9 sits exactly between bf16 neighbors 1.0 and 1 + 2^-8; RNE picks
+  // the even mantissa (1.0). The next representable step up rounds away.
+  EXPECT_EQ(bf16_round(1.0f + 1.0f / 512.0f), 1.0f);
+  EXPECT_EQ(bf16_round(1.0f + 3.0f / 512.0f), 1.0f + 1.0f / 128.0f);
 }
 
 // ---- encode/decode ---------------------------------------------------------

@@ -47,7 +47,7 @@ SRC_ENV_RE = re.compile(r'"(TESSERACT_[A-Z0-9_]+)"')
 # Name shapes the instrumentation uses (see docs/observability.md). A final
 # [a-z0-9_] excludes partial prefixes like the "comm." literal the
 # communicator concatenates from.
-METRIC_PREFIX = r"(?:runtime|comm|layer|fault|sim|train|pipeline|obs|serve|kernel)"
+METRIC_PREFIX = r"(?:runtime|comm|layer|fault|sim|train|pipeline|obs|kernel)"
 SRC_METRIC_RE = re.compile(rf'"({METRIC_PREFIX}\.[a-z0-9_.]*[a-z0-9_])"')
 # Sites that assemble a metric name at runtime declare the family next to the
 # code: `// metric: comm.<op>.sim_seconds`.
