@@ -1,12 +1,10 @@
 // Scaling projection beyond the paper's 64 GPUs: the paper's conclusion
-// claims Tesseract is "highly scalable"; here the validated cost model
-// extrapolates the strong-scaling comparison to 256 and 1024 GPUs, where
-// the isoefficiency gap (Megatron W ~ p^3 vs Tesseract's weaker growth)
-// should widen. Replay (exact) up to 256 ranks; analytic (closed-form)
-// alongside for the 1024-rank points where spawning threads gets silly.
+// claims Tesseract is "highly scalable"; here the replayed cost model
+// extrapolates the strong-scaling comparison to 256 GPUs, where the
+// isoefficiency gap (Megatron W ~ p^3 vs Tesseract's weaker growth) should
+// widen, and shows the 1-D head-count wall at 256 and 1024 GPUs.
 #include <cstdio>
 
-#include "perf/analytic.hpp"
 #include "perf/cost_model.hpp"
 
 using namespace tsr;
@@ -22,40 +20,26 @@ perf::LayerDims big_dims() {
 
 int main() {
   std::printf("=== Strong-scaling projection, h = 8192, batch 64, 8 layers ===\n");
-  std::printf("(replay = exact simulated schedule; analytic = closed form)\n\n");
-  std::printf("%-22s %7s %14s %14s\n", "config", "GPUs", "replay fwd(s)",
-              "analytic fwd(s)");
+  std::printf("(replay = the real layers' simulated schedule)\n\n");
+  std::printf("%-22s %7s %14s\n", "config", "GPUs", "replay fwd(s)");
 
   struct Row {
     const char* name;
     perf::EvalConfig cfg;
-    bool replay;  // run the exact replay (thread count permitting)
   };
   const Row rows[] = {
       {"Megatron [64]",
-       {.scheme = perf::Scheme::Megatron1D, .p = 64, .dims = big_dims(), .layers = 8},
-       true},
+       {.scheme = perf::Scheme::Megatron1D, .p = 64, .dims = big_dims(), .layers = 8}},
       {"Tesseract [4,4,4]",
-       {.scheme = perf::Scheme::Tesseract, .q = 4, .d = 4, .dims = big_dims(), .layers = 8},
-       true},
+       {.scheme = perf::Scheme::Tesseract, .q = 4, .d = 4, .dims = big_dims(), .layers = 8}},
       {"Megatron [256]",
-       {.scheme = perf::Scheme::Megatron1D, .p = 256, .dims = big_dims(), .layers = 8},
-       true},
+       {.scheme = perf::Scheme::Megatron1D, .p = 256, .dims = big_dims(), .layers = 8}},
       {"Tesseract [8,8,4]",
-       {.scheme = perf::Scheme::Tesseract, .q = 8, .d = 4, .dims = big_dims(), .layers = 8},
-       true},
+       {.scheme = perf::Scheme::Tesseract, .q = 8, .d = 4, .dims = big_dims(), .layers = 8}},
       {"Tesseract [16,16,1]",
-       {.scheme = perf::Scheme::Tesseract, .q = 16, .d = 1, .dims = big_dims(), .layers = 8},
-       true},
+       {.scheme = perf::Scheme::Tesseract, .q = 16, .d = 1, .dims = big_dims(), .layers = 8}},
       {"Megatron [1024]",
-       {.scheme = perf::Scheme::Megatron1D, .p = 1024, .dims = big_dims(), .layers = 8},
-       false},
-      {"Tesseract [16,16,4]",
-       {.scheme = perf::Scheme::Tesseract, .q = 16, .d = 4, .dims = big_dims(), .layers = 8},
-       false},
-      {"Tesseract [8,8,16]",
-       {.scheme = perf::Scheme::Tesseract, .q = 8, .d = 16, .dims = big_dims(), .layers = 8},
-       false},
+       {.scheme = perf::Scheme::Megatron1D, .p = 1024, .dims = big_dims(), .layers = 8}},
   };
 
   double mega64 = 0.0, tess256 = 0.0;
@@ -65,27 +49,20 @@ int main() {
     // scalability wall the 2.5-D scheme does not have.
     if (r.cfg.scheme == perf::Scheme::Megatron1D &&
         (r.cfg.dims.heads % r.cfg.p != 0 || r.cfg.dims.hidden % r.cfg.p != 0)) {
-      std::printf("%-22s %7d %14s %14s  (infeasible: only %lld heads)\n",
-                  r.name, r.cfg.total_ranks(), "-", "-",
+      std::printf("%-22s %7d %14s  (infeasible: only %lld heads)\n", r.name,
+                  r.cfg.total_ranks(), "-",
                   static_cast<long long>(r.cfg.dims.heads));
       continue;
     }
-    const double analytic = perf::analytic_forward_seconds(r.cfg);
-    if (r.replay) {
-      const double replay = perf::evaluate(r.cfg).fwd_seconds;
-      if (r.cfg.scheme == perf::Scheme::Megatron1D && r.cfg.p == 64) {
-        mega64 = replay;
-      }
-      if (r.cfg.scheme == perf::Scheme::Tesseract &&
-          r.cfg.total_ranks() == 256 && r.cfg.d == 4) {
-        tess256 = replay;
-      }
-      std::printf("%-22s %7d %14.4f %14.4f\n", r.name, r.cfg.total_ranks(),
-                  replay, analytic);
-    } else {
-      std::printf("%-22s %7d %14s %14.4f\n", r.name, r.cfg.total_ranks(), "-",
-                  analytic);
+    const double replay = perf::evaluate(r.cfg).fwd_seconds;
+    if (r.cfg.scheme == perf::Scheme::Megatron1D && r.cfg.p == 64) {
+      mega64 = replay;
     }
+    if (r.cfg.scheme == perf::Scheme::Tesseract && r.cfg.total_ranks() == 256 &&
+        r.cfg.d == 4) {
+      tess256 = replay;
+    }
+    std::printf("%-22s %7d %14.4f\n", r.name, r.cfg.total_ranks(), replay);
   }
   if (mega64 > 0.0 && tess256 > 0.0) {
     std::printf(

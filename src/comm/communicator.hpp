@@ -10,9 +10,11 @@
 //
 // Every collective also has a *phantom* twin that sends the identical
 // message pattern with empty payloads while charging a declared byte count.
-// The benchmark harness uses phantoms to replay paper-scale (h = 3072...8192)
-// schedules exactly — same trees, same rings, same per-link alpha-beta costs —
-// without allocating paper-scale tensors.
+// The Tensor overloads route a shape-only tensor (tensor/tensor.hpp) to the
+// phantom twin at World::wire_elem_bytes() per element, which is how the
+// real layers replay paper-scale (h = 3072...8192) schedules exactly — same
+// trees, same rings, same per-link alpha-beta costs — without allocating
+// paper-scale tensors.
 #pragma once
 
 #include <cstdint>
@@ -97,6 +99,12 @@ class World {
 
   int size() const { return nranks_; }
   const topo::MachineSpec& spec() const { return spec_; }
+
+  /// Bytes one element weighs in the layers' memory-bound charges and, for a
+  /// shape-only tensor, on the wire. 4 = fp32, what real payloads always
+  /// carry; the fp16 ablation replays at 2. Set before run().
+  std::int64_t wire_elem_bytes() const { return wire_elem_bytes_; }
+  void set_wire_elem_bytes(std::int64_t bytes) { wire_elem_bytes_ = bytes; }
 
   Mailbox& mailbox(int rank) { return *mailboxes_[static_cast<std::size_t>(rank)]; }
   /// Rank-private payload buffer pool; only rank's own thread may touch it.
@@ -220,6 +228,7 @@ class World {
  private:
   int nranks_;
   topo::MachineSpec spec_;
+  std::int64_t wire_elem_bytes_ = 4;
   std::vector<std::unique_ptr<Mailbox>> mailboxes_;
   std::vector<BufferPool> pools_;
   std::vector<rt::SimClock> clocks_;
@@ -314,13 +323,31 @@ class Communicator {
   void all_to_all(std::span<const float> in, std::span<float> out);
 
   // ---- Tensor conveniences --------------------------------------------------
+  // A shape-only tensor takes the phantom path with its declared size.
 
-  void broadcast(Tensor& t, int root) { broadcast(t.span(), root); }
+  void broadcast(Tensor& t, int root) {
+    if (t.is_shape_only()) {
+      broadcast_impl(nullptr, 0, shape_only_bytes(t), root);
+    } else {
+      broadcast(t.span(), root);
+    }
+  }
   void all_reduce(Tensor& t, ReduceOp op = ReduceOp::Sum) {
-    all_reduce(t.span(), op);
+    if (t.is_shape_only()) {
+      all_reduce_impl(nullptr, 0, shape_only_bytes(t), op);
+    } else {
+      all_reduce(t.span(), op);
+    }
   }
   void reduce(Tensor& t, int root, ReduceOp op = ReduceOp::Sum) {
-    reduce(t.span(), root, op);
+    if (t.is_shape_only()) {
+      reduce_impl(nullptr, 0, shape_only_bytes(t), root, op);
+    } else {
+      reduce(t.span(), root, op);
+    }
+  }
+  void all_reduce_compressed(Tensor& t, ReduceOp op = ReduceOp::Sum) {
+    all_reduce_compressed_impl(t.data(), t.numel(), op);
   }
 
   // ---- Phantom collectives (timing + stats only) ---------------------------
@@ -396,6 +423,13 @@ class Communicator {
                        std::int64_t chunk_bytes);
   void reduce_scatter_impl(const float* data, float* out, std::int64_t count,
                            std::int64_t total_bytes, ReduceOp op);
+  // Null data replays the compressed ring payload-free (2 bytes/element).
+  void all_reduce_compressed_impl(float* data, std::int64_t count,
+                                  ReduceOp op);
+
+  std::int64_t shape_only_bytes(const Tensor& t) const {
+    return t.numel() * world_->wire_elem_bytes();
+  }
 
   World* world_ = nullptr;
   std::shared_ptr<const std::vector<int>> group_;

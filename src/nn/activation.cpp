@@ -52,6 +52,10 @@ Tensor gelu_backward(const Tensor& x, const Tensor& dy) {
 }
 
 Tensor Gelu::forward(Tensor x) {
+  if (x.is_shape_only()) {
+    grad_stack_.push_back(x);
+    return Tensor::shape_only(x.shape());
+  }
   Tensor y(x.shape());
   Tensor grad = x.sole_owner() ? x : Tensor(x.shape());
   gelu_pass(x.data(), y.data(), grad.data(), x.numel());

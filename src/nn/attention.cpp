@@ -16,6 +16,7 @@ Tensor split_heads(const Tensor& x, std::int64_t heads) {
   const std::int64_t h = x.dim(2);
   check(h % heads == 0, "split_heads: hidden not divisible by heads");
   const std::int64_t hd = h / heads;
+  if (x.is_shape_only()) return Tensor::shape_only({b * heads, s, hd});
   Tensor out({b * heads, s, hd});
   for (std::int64_t bi = 0; bi < b; ++bi) {
     for (std::int64_t n = 0; n < heads; ++n) {
@@ -35,6 +36,7 @@ Tensor merge_heads(const Tensor& x, std::int64_t batch) {
   const std::int64_t heads = x.dim(0) / batch;
   const std::int64_t s = x.dim(1);
   const std::int64_t hd = x.dim(2);
+  if (x.is_shape_only()) return Tensor::shape_only({batch, s, heads * hd});
   Tensor out({batch, s, heads * hd});
   for (std::int64_t bi = 0; bi < batch; ++bi) {
     for (std::int64_t n = 0; n < heads; ++n) {
@@ -51,6 +53,7 @@ Tensor merge_heads(const Tensor& x, std::int64_t batch) {
 void apply_causal_mask(Tensor& scores) {
   check(scores.ndim() == 3 && scores.dim(1) == scores.dim(2),
         "apply_causal_mask: expected [heads, s, s] scores");
+  if (scores.is_shape_only()) return;
   const std::int64_t n = scores.dim(0);
   const std::int64_t s = scores.dim(1);
   for (std::int64_t b = 0; b < n; ++b) {

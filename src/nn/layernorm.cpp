@@ -6,8 +6,8 @@
 
 namespace tsr::nn {
 
-LayerNorm::LayerNorm(std::int64_t features, float eps)
-    : gamma({features}), beta({features}), eps_(eps) {
+LayerNorm::LayerNorm(std::int64_t features, float eps, bool shape_only)
+    : gamma({features}, shape_only), beta({features}, shape_only), eps_(eps) {
   gamma.value.fill(1.0f);
 }
 
@@ -15,9 +15,10 @@ Tensor LayerNorm::forward(const Tensor& x) {
   const std::int64_t f = gamma.value.dim(0);
   check(x.dim(-1) == f, "LayerNorm::forward: feature mismatch");
   const std::int64_t rows = x.numel() / f;
-  Tensor y(x.shape());
-  xhat_cache_ = Tensor({x.shape()});
-  inv_std_cache_ = Tensor({rows});
+  xhat_cache_ = Tensor::empty_as(x, x.shape());
+  inv_std_cache_ = Tensor::empty_as(x, {rows});
+  Tensor y = Tensor::empty_as(x, x.shape());
+  if (y.is_shape_only()) return y;
   const float* px = x.data();
   float* py = y.data();
   float* pxh = xhat_cache_.data();
@@ -55,7 +56,8 @@ Tensor LayerNorm::backward(const Tensor& dy) {
   const std::int64_t f = gamma.value.dim(0);
   check(dy.numel() == xhat_cache_.numel(), "LayerNorm::backward: size mismatch");
   const std::int64_t rows = dy.numel() / f;
-  Tensor dx(dy.shape());
+  Tensor dx = Tensor::empty_as(dy, dy.shape());
+  if (dx.is_shape_only()) return dx;
   const float* pdy = dy.data();
   const float* pxh = xhat_cache_.data();
   const float* pinv = inv_std_cache_.data();

@@ -13,7 +13,10 @@ namespace tsr::nn {
 /// all-reduces across a grid row (paper Section 3.2.2).
 class LayerNorm {
  public:
-  explicit LayerNorm(std::int64_t features, float eps = 1e-5f);
+  /// A `shape_only` norm holds shape-only parameters (tensor/tensor.hpp)
+  /// and maps shape-only inputs to shape-only outputs.
+  explicit LayerNorm(std::int64_t features, float eps = 1e-5f,
+                     bool shape_only = false);
 
   Tensor forward(const Tensor& x);
   Tensor backward(const Tensor& dy);

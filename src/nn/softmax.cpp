@@ -17,6 +17,7 @@ std::int64_t row_grain(std::int64_t f) {
 Tensor softmax(const Tensor& x) {
   check(x.ndim() >= 1, "softmax: needs at least 1-D input");
   const std::int64_t f = x.dim(-1);
+  if (x.is_shape_only()) return Tensor::shape_only(x.shape());
   const std::int64_t rows = x.numel() / f;
   Tensor y(x.shape());
   rt::parallel_chunks(rows, row_grain(f), [&](std::int64_t rb,
@@ -41,6 +42,7 @@ Tensor softmax(const Tensor& x) {
 Tensor softmax_backward(const Tensor& y, const Tensor& dy) {
   check(y.numel() == dy.numel(), "softmax_backward: size mismatch");
   const std::int64_t f = y.dim(-1);
+  if (y.is_shape_only()) return Tensor::shape_only(y.shape());
   const std::int64_t rows = y.numel() / f;
   Tensor dx(y.shape());
   rt::parallel_chunks(rows, row_grain(f), [&](std::int64_t rb,

@@ -29,8 +29,8 @@ MetricClass classify_metric(std::string_view path) {
   const bool host =
       contains(seg, "wall") || contains(seg, "gflops") ||
       contains(seg, "speedup") || contains(seg, "host") ||
-      contains(seg, "max_rel_err") || seg.rfind("scheduler_", 0) == 0 ||
-      seg.rfind("pool_", 0) == 0 || seg == "allocations" || seg == "reuses";
+      seg.rfind("scheduler_", 0) == 0 || seg.rfind("pool_", 0) == 0 ||
+      seg == "allocations" || seg == "reuses";
   return host ? MetricClass::HostWall : MetricClass::Deterministic;
 }
 

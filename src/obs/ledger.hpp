@@ -42,8 +42,8 @@ inline constexpr double kHostNoiseSigmas = 4.0;
 enum class MetricClass { Deterministic, HostWall };
 
 /// Classifies by the final path segment. Host patterns are explicit
-/// ("wall", "gflops", "speedup", "host", "max_rel_err", "scheduler_*",
-/// "pool_*", "allocations", "reuses"); everything else — including table1's
+/// ("wall", "gflops", "speedup", "host", "scheduler_*", "pool_*",
+/// "allocations", "reuses"); everything else — including table1's
 /// `fwd_s`/`bwd_s`/`inference_per_s`, which are SIMULATED seconds and
 /// inferences per simulated second — is deterministic.
 MetricClass classify_metric(std::string_view path);

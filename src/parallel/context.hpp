@@ -10,9 +10,13 @@ namespace tsr::par {
 /// parallel layers use. Construct once per rank per model.
 class TesseractContext {
  public:
-  /// `parent` must have exactly q*q*d ranks in depth-major order.
-  TesseractContext(comm::Communicator& parent, int q, int d)
-      : tc_(pdg::TesseractComms::create(parent, q, d)) {}
+  /// `parent` must have exactly q*q*d ranks in depth-major order. Layers
+  /// built on a `shape_only` context hold shape-only weights (no storage,
+  /// no RNG draw) and replay their schedule on shape-only activations.
+  TesseractContext(comm::Communicator& parent, int q, int d,
+                   bool shape_only = false)
+      : tc_(pdg::TesseractComms::create(parent, q, d)),
+        shape_only_(shape_only) {}
 
   pdg::TesseractComms& comms() { return tc_; }
   const pdg::TesseractComms& comms() const { return tc_; }
@@ -22,11 +26,14 @@ class TesseractContext {
   int i() const { return tc_.i; }
   int j() const { return tc_.j; }
   int k() const { return tc_.k; }
+  bool shape_only() const { return shape_only_; }
 
   /// Charges the modeled time of a local memory-bound kernel (bias add,
-  /// activation, residual, ...) touching `bytes` bytes.
-  void charge_memory(std::int64_t bytes) {
-    pdg::charge_memory_bound(tc_.grid, bytes);
+  /// activation, residual, ...) touching `elements` elements of
+  /// World::wire_elem_bytes() each.
+  void charge_elementwise(std::int64_t elements) {
+    pdg::charge_memory_bound(tc_.grid,
+                             elements * tc_.grid.world().wire_elem_bytes());
   }
 
   /// Charges the modeled time of a local GEMM (used by kernels executed
@@ -38,14 +45,15 @@ class TesseractContext {
   /// Scoped per-op timer over this rank's simulated clock, recorded into the
   /// world metrics registry; a no-op unless World::enable_metrics() was
   /// called. Layers wrap forward/backward bodies in one of these.
-  obs::ScopedTimer timer(std::string name) {
+  obs::ScopedTimer timer(const char* name) {
     comm::World& w = tc_.grid.world();
     return obs::ScopedTimer(w.metrics_enabled() ? &w.metrics() : nullptr,
-                            &tc_.grid.clock(), std::move(name));
+                            &tc_.grid.clock(), name);
   }
 
  private:
   pdg::TesseractComms tc_;
+  bool shape_only_ = false;
 };
 
 }  // namespace tsr::par

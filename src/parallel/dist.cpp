@@ -47,6 +47,7 @@ Tensor qkv_blocked_layout(const Tensor& fused, int blocks, std::int64_t heads) {
   const std::int64_t hd = h / heads;
   const std::int64_t heads_per_block = heads / blocks;
   const std::int64_t block_cols = 3 * h / blocks;
+  if (fused.is_shape_only()) return Tensor::shape_only(fused.shape());
 
   // Destination column for serial column `c`.
   auto dest = [&](std::int64_t c) {

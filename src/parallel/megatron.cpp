@@ -17,9 +17,9 @@ MegatronColumnLinear::MegatronColumnLinear(MegatronContext& ctx,
                                            std::int64_t in, std::int64_t out,
                                            Rng& rng, bool with_bias)
     : ctx_(&ctx) {
-  Tensor full_w({in, out});
-  xavier_uniform(full_w, rng);
-  init_from_full(full_w, with_bias ? Tensor::zeros({out}) : Tensor());
+  Tensor full_w = xavier_weight({in, out}, rng, ctx.shape_only());
+  init_from_full(full_w,
+                 with_bias ? Tensor::zeros_as(full_w, {out}) : Tensor());
 }
 
 MegatronColumnLinear::MegatronColumnLinear(MegatronContext& ctx,
@@ -36,14 +36,13 @@ void MegatronColumnLinear::init_from_full(const Tensor& full_w,
   const int p = ctx_->p();
   check(out_ % p == 0, "MegatronColumnLinear: out not divisible by p");
   const std::int64_t lout = out_ / p;
-  w = nn::Param({in_, lout});
-  w.value.copy_from(slice_block(full_w, 0, ctx_->rank() * lout, in_, lout));
+  w = nn::Param::with_value(
+      slice_block(full_w, 0, ctx_->rank() * lout, in_, lout));
   has_bias_ = !full_b.empty();
   if (has_bias_) {
-    b = nn::Param({lout});
-    b.value.copy_from(slice_block(full_b.reshape({1, out_}), 0,
-                                  ctx_->rank() * lout, 1, lout)
-                          .reshape({lout}));
+    b = nn::Param::with_value(slice_block(full_b.reshape({1, out_}), 0,
+                                          ctx_->rank() * lout, 1, lout)
+                                  .reshape({lout}));
   }
 }
 
@@ -54,7 +53,7 @@ Tensor MegatronColumnLinear::forward(const Tensor& x) {
   ctx_->charge_gemm(x_cache_.dim(0), w.value.dim(1), in_);
   if (has_bias_) {
     add_bias(y, b.value);
-    ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+    ctx_->charge_elementwise(y.numel());
   }
   Shape out_shape = x.shape();
   out_shape.back() = out_ / ctx_->p();
@@ -95,12 +94,10 @@ MegatronRowLinear::MegatronRowLinear(MegatronContext& ctx, std::int64_t in,
     : ctx_(&ctx), in_(in), out_(out), has_bias_(with_bias) {
   const int p = ctx.p();
   check(in % p == 0, "MegatronRowLinear: in not divisible by p");
-  Tensor full_w({in, out});
-  xavier_uniform(full_w, rng);
+  const Tensor full_w = xavier_weight({in, out}, rng, ctx.shape_only());
   const std::int64_t lin = in / p;
-  w = nn::Param({lin, out});
-  w.value.copy_from(slice_block(full_w, ctx.rank() * lin, 0, lin, out));
-  if (has_bias_) b = nn::Param({out});
+  w = nn::Param::with_value(slice_block(full_w, ctx.rank() * lin, 0, lin, out));
+  if (has_bias_) b = nn::Param({out}, ctx.shape_only());
 }
 
 Tensor MegatronRowLinear::forward(const Tensor& x) {
@@ -113,7 +110,7 @@ Tensor MegatronRowLinear::forward(const Tensor& x) {
   ctx_->comm().all_reduce(y);
   if (has_bias_) {
     add_bias(y, b.value);
-    ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+    ctx_->charge_elementwise(y.numel());
   }
   Shape out_shape = x.shape();
   out_shape.back() = out_;
@@ -161,13 +158,13 @@ MegatronFeedForward::MegatronFeedForward(MegatronContext& ctx,
 
 Tensor MegatronFeedForward::forward(const Tensor& x) {
   Tensor h = act_.forward(fc1.forward(x));
-  ctx_->charge_memory(h.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(h.numel());
   return fc2.forward(h);
 }
 
 Tensor MegatronFeedForward::backward(const Tensor& dy) {
   Tensor dh = act_.backward(fc2.backward(dy));
-  ctx_->charge_memory(dh.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(dh.numel());
   return fc1.backward(dh);
 }
 
@@ -187,12 +184,11 @@ std::vector<nn::Param*> MegatronFeedForward::params() {
 MegatronAttention::MegatronAttention(MegatronContext& ctx, std::int64_t hidden,
                                      std::int64_t heads, Rng& rng)
     : qkv(ctx,
-          [&] {
-            Tensor serial_w({hidden, 3 * hidden});
-            xavier_uniform(serial_w, rng);
-            return qkv_blocked_layout(serial_w, ctx.p(), heads);
-          }(),
-          Tensor::zeros({3 * hidden})),
+          qkv_blocked_layout(
+              xavier_weight({hidden, 3 * hidden}, rng, ctx.shape_only()),
+              ctx.p(), heads),
+          ctx.shape_only() ? Tensor::shape_only({3 * hidden})
+                           : Tensor::zeros({3 * hidden})),
       proj(ctx, hidden, hidden, rng),
       ctx_(&ctx),
       hidden_(hidden),
@@ -225,7 +221,7 @@ Tensor MegatronAttention::forward(const Tensor& x) {
   ctx_->charge_gemm(batch_ * nl * s, s, hd);
   scale(scores, 1.0f / std::sqrt(static_cast<float>(hd)));
   attn_ = nn::softmax(scores);
-  ctx_->charge_memory(2 * attn_.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(2 * attn_.numel());
   Tensor ctxv = bmm(attn_, v_);
   ctx_->charge_gemm(batch_ * nl * s, hd, s);
   Tensor merged = nn::merge_heads(ctxv, batch_);  // [b, s, h/p]
@@ -246,7 +242,7 @@ Tensor MegatronAttention::backward(const Tensor& dy) {
   Tensor dv = bmm(attn_, dctx, Trans::T, Trans::N);
   ctx_->charge_gemm(batch_ * nl * s, hd, s);
   Tensor dscores = nn::softmax_backward(attn_, dattn);
-  ctx_->charge_memory(2 * dscores.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(2 * dscores.numel());
   scale(dscores, 1.0f / std::sqrt(static_cast<float>(hd)));
   Tensor dq = bmm(dscores, k_);
   ctx_->charge_gemm(batch_ * nl * s, hd, s);
@@ -277,22 +273,25 @@ MegatronTransformerLayer::MegatronTransformerLayer(MegatronContext& ctx,
                                                    std::int64_t hidden,
                                                    std::int64_t heads, Rng& rng,
                                                    std::int64_t ffn_expansion)
-    : ln1(hidden), attn(ctx, hidden, heads, rng), ln2(hidden),
-      ffn(ctx, hidden, rng, ffn_expansion), ctx_(&ctx) {}
+    : ln1(hidden, 1e-5f, ctx.shape_only()),
+      attn(ctx, hidden, heads, rng),
+      ln2(hidden, 1e-5f, ctx.shape_only()),
+      ffn(ctx, hidden, rng, ffn_expansion),
+      ctx_(&ctx) {}
 
 Tensor MegatronTransformerLayer::forward(const Tensor& x) {
   Tensor y = add(x, attn.forward(ln1.forward(x)));
-  ctx_->charge_memory(3 * y.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(3 * y.numel());
   Tensor z = add(y, ffn.forward(ln2.forward(y)));
-  ctx_->charge_memory(3 * z.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(3 * z.numel());
   return z;
 }
 
 Tensor MegatronTransformerLayer::backward(const Tensor& dy) {
   Tensor dy2 = add(dy, ln2.backward(ffn.backward(dy)));
-  ctx_->charge_memory(3 * dy2.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(3 * dy2.numel());
   Tensor dx = add(dy2, ln1.backward(attn.backward(dy2)));
-  ctx_->charge_memory(3 * dx.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(3 * dx.numel());
   return dx;
 }
 

@@ -21,17 +21,23 @@
 
 namespace tsr::par {
 
-/// Per-rank context of a 1-D tensor-parallel group.
+/// Per-rank context of a 1-D tensor-parallel group. Layers built on a
+/// `shape_only` context hold shape-only weights (no storage, no RNG draw)
+/// and replay their schedule on shape-only activations.
 class MegatronContext {
  public:
-  explicit MegatronContext(comm::Communicator& group) : comm_(group) {}
+  explicit MegatronContext(comm::Communicator& group, bool shape_only = false)
+      : comm_(group), shape_only_(shape_only) {}
 
   comm::Communicator& comm() { return comm_; }
   int p() const { return comm_.size(); }
   int rank() const { return comm_.rank(); }
+  bool shape_only() const { return shape_only_; }
 
-  void charge_memory(std::int64_t bytes) {
-    pdg::charge_memory_bound(comm_, bytes);
+  /// A memory-bound kernel over `elements` elements of
+  /// World::wire_elem_bytes() each.
+  void charge_elementwise(std::int64_t elements) {
+    pdg::charge_memory_bound(comm_, elements * comm_.world().wire_elem_bytes());
   }
   void charge_gemm(std::int64_t m, std::int64_t n, std::int64_t k) {
     pdg::charge_gemm(comm_, m, n, k);
@@ -39,6 +45,7 @@ class MegatronContext {
 
  private:
   comm::Communicator comm_;
+  bool shape_only_ = false;
 };
 
 /// Y = X W + b with W column-sharded: [in, out/p] per rank.

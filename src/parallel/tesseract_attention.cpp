@@ -16,16 +16,17 @@ Tensor TesseractAttention::build_qkv_weight(TesseractContext& ctx,
                                             std::int64_t heads, Rng& rng) {
   // Draw in the serial [Q | K | V] order (stream-aligned with nn::Linear),
   // then reorder the columns so each q-column shard holds complete heads.
-  Tensor serial_w({hidden, 3 * hidden});
-  xavier_uniform(serial_w, rng);
-  return qkv_blocked_layout(serial_w, ctx.q(), heads);
+  return qkv_blocked_layout(
+      xavier_weight({hidden, 3 * hidden}, rng, ctx.shape_only()), ctx.q(),
+      heads);
 }
 
 TesseractAttention::TesseractAttention(TesseractContext& ctx,
                                        std::int64_t hidden, std::int64_t heads,
                                        Rng& rng, bool causal)
     : qkv(ctx, build_qkv_weight(ctx, hidden, heads, rng),
-          Tensor::zeros({3 * hidden})),
+          ctx.shape_only() ? Tensor::shape_only({3 * hidden})
+                           : Tensor::zeros({3 * hidden})),
       proj(ctx, hidden, hidden, rng),
       ctx_(&ctx),
       hidden_(hidden),
@@ -68,8 +69,7 @@ Tensor TesseractAttention::forward(const Tensor& x_local) {
   // cost is folded into the softmax's memory-bound charge.
   if (causal_) nn::apply_causal_mask(scores);
   cache.attn = nn::softmax(scores);
-  ctx_->charge_memory(2 * cache.attn.numel() *
-                      static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(2 * cache.attn.numel());
   Tensor ctxv = bmm(cache.attn, cache.v);
   ctx_->charge_gemm(batch * nl * s, hd, s);
   Tensor merged = nn::merge_heads(ctxv, batch);  // [b', s, h/q]
@@ -96,7 +96,7 @@ Tensor TesseractAttention::backward(const Tensor& dy_local) {
   Tensor dv = bmm(cache.attn, dctx, Trans::T, Trans::N);
   ctx_->charge_gemm(batch * nl * s, hd, s);
   Tensor dscores = nn::softmax_backward(cache.attn, dattn);
-  ctx_->charge_memory(2 * dscores.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(2 * dscores.numel());
   scale(dscores, 1.0f / std::sqrt(static_cast<float>(hd)));
   Tensor dq = bmm(dscores, cache.k);
   ctx_->charge_gemm(batch * nl * s, hd, s);

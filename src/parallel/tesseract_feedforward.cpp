@@ -12,14 +12,14 @@ TesseractFeedForward::TesseractFeedForward(TesseractContext& ctx,
 Tensor TesseractFeedForward::forward(const Tensor& x_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.feedforward.forward.sim_seconds");
   Tensor h = act_.forward(fc1.forward(x_local));
-  ctx_->charge_memory(h.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(h.numel());
   return fc2.forward(h);
 }
 
 Tensor TesseractFeedForward::backward(const Tensor& dy_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.feedforward.backward.sim_seconds");
   Tensor dh = act_.backward(fc2.backward(dy_local));
-  ctx_->charge_memory(dh.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(dh.numel());
   return fc1.backward(dh);
 }
 

@@ -1,6 +1,5 @@
 #include "parallel/tesseract_linear.hpp"
 
-#include "comm/compress.hpp"
 #include "pdgemm/tesseract_mm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernels.hpp"
@@ -11,9 +10,10 @@ TesseractLinear::TesseractLinear(TesseractContext& ctx, std::int64_t in_features
                                  std::int64_t out_features, Rng& rng,
                                  bool with_bias)
     : ctx_(&ctx) {
-  Tensor full_w({in_features, out_features});
-  xavier_uniform(full_w, rng);
-  Tensor full_b = with_bias ? Tensor::zeros({out_features}) : Tensor();
+  Tensor full_w =
+      xavier_weight({in_features, out_features}, rng, ctx.shape_only());
+  Tensor full_b =
+      with_bias ? Tensor::zeros_as(full_w, {out_features}) : Tensor();
   init_from_full(full_w, full_b);
 }
 
@@ -32,14 +32,13 @@ void TesseractLinear::init_from_full(const Tensor& full_weight,
   const int q = ctx_->q();
   check(in_ % q == 0 && out_ % q == 0,
         "TesseractLinear: features must be divisible by q");
-  w = nn::Param({in_ / q, out_ / q});
-  w.value.copy_from(pdg::distribute_b_layout(ctx_->comms(), full_weight));
+  w = nn::Param::with_value(
+      pdg::distribute_b_layout(ctx_->comms(), full_weight));
   has_bias_ = !full_bias.empty();
   if (has_bias_) {
     check(full_bias.dim(0) == out_, "TesseractLinear: bias size mismatch");
     // Bias shard for column j, held authoritatively on grid row 0.
-    b = nn::Param({out_ / q});
-    b.value.copy_from(
+    b = nn::Param::with_value(
         slice_block(full_bias.reshape({1, out_}), 0, ctx_->j() * (out_ / q), 1,
                     out_ / q)
             .reshape({out_ / q}));
@@ -57,7 +56,7 @@ Tensor TesseractLinear::forward(const Tensor& x_local) {
     Tensor bias_bcast = b.value.clone();
     ctx_->comms().col.broadcast(bias_bcast, /*root=*/0);
     add_bias(y, bias_bcast);
-    ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+    ctx_->charge_elementwise(y.numel());
   }
   Shape out_shape = x_local.shape();
   out_shape.back() = out_ / ctx_->q();
@@ -85,13 +84,7 @@ Tensor TesseractLinear::backward(const Tensor& dy_local) {
     Tensor db = bias_grad(dym);
     ctx_->comms().col.reduce(db, /*root=*/0);
     if (ctx_->i() == 0) {
-      if (ctx_->d() > 1) {
-        if (comm::compress_depth_enabled()) {
-          ctx_->comms().depth.all_reduce_compressed(db.span());
-        } else {
-          ctx_->comms().depth.all_reduce(db);
-        }
-      }
+      pdg::depth_all_reduce(ctx_->comms(), db);
       axpy(1.0f, db, b.grad);
     }
   }

@@ -16,18 +16,18 @@ TesseractTransformerLayer::TesseractTransformerLayer(
 Tensor TesseractTransformerLayer::forward(const Tensor& x_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.transformer_layer.forward.sim_seconds");
   Tensor y = add(x_local, attn.forward(ln1.forward(x_local)));
-  ctx_->charge_memory(y.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(y.numel());
   Tensor z = add(y, ffn.forward(ln2.forward(y)));
-  ctx_->charge_memory(z.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(z.numel());
   return z;
 }
 
 Tensor TesseractTransformerLayer::backward(const Tensor& dy_local) {
   obs::ScopedTimer timer_ = ctx_->timer("layer.transformer_layer.backward.sim_seconds");
   Tensor dy2 = add(dy_local, ln2.backward(ffn.backward(dy_local)));
-  ctx_->charge_memory(dy2.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(dy2.numel());
   Tensor dx = add(dy2, ln1.backward(attn.backward(dy2)));
-  ctx_->charge_memory(dx.numel() * static_cast<std::int64_t>(sizeof(float)));
+  ctx_->charge_elementwise(dx.numel());
   return dx;
 }
 

@@ -3,6 +3,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "comm/compress.hpp"
 #include "tensor/kernels.hpp"
 
 namespace tsr::pdg {
@@ -137,6 +138,15 @@ TesseractComms TesseractComms::create(comm::Communicator& parent, int q, int d) 
   tc.col = parent.subgroup(to_world(grid.col_group(c.j, c.k)));
   tc.depth = parent.subgroup(to_world(grid.depth_group(c.i, c.j)));
   return tc;
+}
+
+void depth_all_reduce(TesseractComms& tc, Tensor& t) {
+  if (tc.d == 1) return;
+  if (comm::compress_depth_enabled()) {
+    tc.depth.all_reduce_compressed(t);
+  } else {
+    tc.depth.all_reduce(t);
+  }
 }
 
 Tensor distribute_a_layout(const TesseractComms& tc, const Tensor& full) {

@@ -71,6 +71,11 @@ struct TesseractComms {
   int a_block_row() const { return i + k * q; }
 };
 
+/// Sums `t` over my depth line, keeping the d replicas in sync (nothing to
+/// do at d = 1). bf16-compressed on the wire when TESSERACT_COMPRESS_DEPTH
+/// is set (comm/compress.hpp).
+void depth_all_reduce(TesseractComms& tc, Tensor& t);
+
 // ---- Tesseract layouts (Fig. 4) -------------------------------------------
 
 /// My block of an "A-layout" matrix [a, b]: block (i + k*q, j) of a

@@ -10,9 +10,9 @@ Tensor summa_ab_local(Grid2DComms& g, const Tensor& a_block,
   const int q = g.q;
   check(a_block.dim(1) == b_block.dim(0),
         "summa_ab_local: inner block dimensions mismatch");
-  Tensor c = Tensor::zeros({a_block.dim(0), b_block.dim(1)});
-  Tensor a_panel(a_block.shape());
-  Tensor b_panel(b_block.shape());
+  Tensor c = Tensor::zeros_as(a_block, {a_block.dim(0), b_block.dim(1)});
+  Tensor a_panel = Tensor::empty_as(a_block, a_block.shape());
+  Tensor b_panel = Tensor::empty_as(b_block, b_block.shape());
   for (int t = 0; t < q; ++t) {
     // Broadcast A_{it} along row i and B_{tj} down column j (Algorithm 2).
     if (g.j == t) a_panel.copy_from(a_block);
@@ -31,7 +31,7 @@ Tensor summa_abt_local(Grid2DComms& g, const Tensor& a_block,
   check(a_block.dim(1) == b_block.dim(1),
         "summa_abt_local: trailing block dimensions must match (both split c)");
   Tensor result;  // filled at t == my column
-  Tensor b_panel(b_block.shape());
+  Tensor b_panel = Tensor::empty_as(b_block, b_block.shape());
   for (int t = 0; t < q; ++t) {
     // B_{tj} lives at grid row t; broadcast it down column j.
     if (g.i == t) b_panel.copy_from(b_block);
@@ -52,7 +52,7 @@ Tensor summa_atb_local(Grid2DComms& g, const Tensor& a_block,
   check(a_block.dim(0) == b_block.dim(0),
         "summa_atb_local: leading block dimensions must match (both split a)");
   Tensor result;  // filled at t == my row
-  Tensor a_panel(a_block.shape());
+  Tensor a_panel = Tensor::empty_as(a_block, a_block.shape());
   for (int t = 0; t < q; ++t) {
     // A_{it} lives at grid column t; broadcast it along row i.
     if (g.j == t) a_panel.copy_from(a_block);

@@ -1,6 +1,5 @@
 #include "pdgemm/tesseract_mm.hpp"
 
-#include "comm/compress.hpp"
 #include "pdgemm/summa.hpp"
 
 namespace tsr::pdg {
@@ -38,16 +37,10 @@ Tensor tesseract_atb_local(TesseractComms& tc, const Tensor& a_block,
                            const Tensor& b_block, bool depth_allreduce) {
   Grid2DComms layer = layer_view(tc);
   Tensor partial = summa_atb_local(layer, a_block, b_block);
-  if (depth_allreduce && tc.d > 1) {
-    // Sum the per-layer partials: each layer saw only its row slice of A.
-    // These B' gradient partials are the depth dimension's dominant wire
-    // volume, so they are the target of the opt-in bf16 wire compression.
-    if (comm::compress_depth_enabled()) {
-      tc.depth.all_reduce_compressed(partial.span());
-    } else {
-      tc.depth.all_reduce(partial);
-    }
-  }
+  // Sum the per-layer partials: each layer saw only its row slice of A.
+  // These B' gradient partials are the depth dimension's dominant wire
+  // volume, so they are the target of the opt-in bf16 wire compression.
+  if (depth_allreduce) depth_all_reduce(tc, partial);
   return partial;
 }
 

@@ -159,11 +159,12 @@ double eval_step(const AutotuneConfig& cfg, const PlanCandidate& cand,
   const EvalConfig ec = cand.eval_config(cfg);
   comm::World world(cand.grid_ranks(), cfg.spec);
   world.install_fault_plan(plan);  // no-op for the default empty plan
+  ScheduleReplay replay(ec, world);
   const Measurement fwd = measure(world, [&](comm::Communicator& c) {
-    replay_schedule(ec, c, /*backward=*/false);
+    replay.run(c, /*backward=*/false);
   });
   const Measurement bwd = measure(world, [&](comm::Communicator& c) {
-    replay_schedule(ec, c, /*backward=*/true);
+    replay.run(c, /*backward=*/true);
   });
   const Measurement opt = measure(world, [&](comm::Communicator& c) {
     replay_optimizer(cfg, cand, c);
@@ -402,9 +403,10 @@ RunReport explain_candidate(const AutotuneConfig& cfg,
   comm::World world(cand.grid_ranks(), cfg.spec);
   world.enable_tracing();
   world.enable_metrics();
+  ScheduleReplay replay(ec, world);
   world.run([&](comm::Communicator& c) {
-    replay_schedule(ec, c, /*backward=*/false);
-    replay_schedule(ec, c, /*backward=*/true);
+    replay.run(c, /*backward=*/false);
+    replay.run(c, /*backward=*/true);
     replay_optimizer(cfg, cand, c);
   });
   return build_run_report(world, cand.label());

@@ -3,11 +3,12 @@
 // arrangement, enumerate every legal mapping of a model onto a GPU budget —
 // Tesseract grids with q*q*d == P, the Megatron-LM / Optimus baselines,
 // GPipe pipeline-stage counts and ZeRO-1 optimizer sharding — and score each
-// candidate with the phantom replay. No real GEMM runs: every number is
-// simulated time, modeled bytes or a replayed fault experiment, so a search
-// is bit-reproducible on every scheduler backend. Its host cost is the
-// replays: `tsr_plan plan --gpus 64` takes 2.3-3.1 s on a 4-vCPU Xeon
-// (Release build).
+// candidate with the shape-only replay of the real layers
+// (perf/cost_model.hpp). No real GEMM runs: every number is simulated time,
+// modeled bytes or a replayed fault experiment, so a search is
+// bit-reproducible on every scheduler backend. Its host cost is the
+// replays: `tsr_plan plan --gpus 64` takes 1.6 s at one worker and 1.3 s at
+// four on a 4-vCPU Xeon (Release build).
 //
 // Three scoring axes, one Pareto front:
 //   * step_seconds  — predicted fwd + bwd (+ pipeline bubble + optimizer)
@@ -71,7 +72,7 @@ struct PlanScore {
   double straggler_seconds = 0.0;   ///< step time under the canned +50% plan
   double straggler_inflation = 0.0; ///< straggler_seconds / step_seconds
 
-  comm::CommStats fwd_stats;  ///< aggregate phantom comm of the fwd replay
+  comm::CommStats fwd_stats;  ///< aggregate comm of the fwd replay
   comm::CommStats bwd_stats;
 };
 
@@ -112,8 +113,8 @@ struct AutotuneConfig {
 /// d > 1. No candidate appears twice.
 std::vector<PlanCandidate> enumerate_candidates(const AutotuneConfig& cfg);
 
-/// Scores one candidate via the phantom replay (healthy + canned-straggler
-/// runs). Performs no real tensor math.
+/// Scores one candidate via the shape-only replay (healthy +
+/// canned-straggler runs). Performs no real tensor math.
 PlanScore score_candidate(const AutotuneConfig& cfg, const PlanCandidate& cand);
 
 /// Pareto-minimal rows of a (minimize, minimize, minimize) objective table:

@@ -2,6 +2,8 @@
 
 #include <sstream>
 
+#include "parallel/megatron.hpp"
+#include "parallel/tesseract_transformer.hpp"
 #include "perf/trace.hpp"
 #include "tensor/tensor.hpp"
 
@@ -37,25 +39,52 @@ std::string EvalConfig::shape_string() const {
   return os.str();
 }
 
-void replay_schedule(const EvalConfig& cfg, comm::Communicator& c,
-                     bool backward) {
-  if (cfg.scheme == Scheme::Megatron1D) {
-    for (int l = 0; l < cfg.layers; ++l) {
-      if (backward) {
-        phantom_megatron_backward(c, cfg.dims);
-      } else {
-        phantom_megatron_forward(c, cfg.dims);
-      }
-    }
-    return;
-  }
-  const int grid_d = cfg.scheme == Scheme::Optimus2D ? 1 : cfg.d;
-  pdg::TesseractComms tc = pdg::TesseractComms::create(c, cfg.q, grid_d);
-  for (int l = 0; l < cfg.layers; ++l) {
-    if (backward) {
-      phantom_tesseract_backward(tc, cfg.dims);
+struct ScheduleReplay::Rank {
+  std::unique_ptr<par::TesseractContext> tess_ctx;
+  std::unique_ptr<par::TesseractTransformerLayer> tess;
+  std::unique_ptr<par::MegatronContext> mega_ctx;
+  std::unique_ptr<par::MegatronTransformerLayer> mega;
+  Tensor x;  // shape-only layer input (and output gradient)
+};
+
+ScheduleReplay::ScheduleReplay(const EvalConfig& cfg, comm::World& world)
+    : cfg_(cfg), ranks_(static_cast<std::size_t>(cfg.total_ranks())) {
+  check(world.size() == cfg.total_ranks(),
+        "ScheduleReplay: world size differs from the configuration's ranks");
+  world.set_wire_elem_bytes(cfg.dims.elem_bytes);
+}
+
+ScheduleReplay::~ScheduleReplay() = default;
+
+void ScheduleReplay::run(comm::Communicator& c, bool backward) {
+  std::unique_ptr<Rank>& slot = ranks_[static_cast<std::size_t>(c.rank())];
+  const LayerDims& dims = cfg_.dims;
+  if (slot == nullptr) {
+    auto r = std::make_unique<Rank>();
+    Rng unused(0);  // shape-only weights draw nothing
+    if (cfg_.scheme == Scheme::Megatron1D) {
+      r->mega_ctx = std::make_unique<par::MegatronContext>(c, true);
+      r->mega = std::make_unique<par::MegatronTransformerLayer>(
+          *r->mega_ctx, dims.hidden, dims.heads, unused, dims.expansion);
+      r->x = Tensor::shape_only({dims.batch, dims.seq, dims.hidden});
     } else {
-      phantom_tesseract_forward(tc, cfg.dims);
+      const int q = cfg_.q;
+      const int d = cfg_.scheme == Scheme::Optimus2D ? 1 : cfg_.d;
+      r->tess_ctx = std::make_unique<par::TesseractContext>(c, q, d, true);
+      r->tess = std::make_unique<par::TesseractTransformerLayer>(
+          *r->tess_ctx, dims.hidden, dims.heads, unused, dims.expansion);
+      const std::int64_t dq = static_cast<std::int64_t>(d) * q;
+      r->x = Tensor::shape_only(
+          {(dims.batch + dq - 1) / dq, dims.seq, dims.hidden / q});
+    }
+    slot = std::move(r);
+  }
+  Rank& r = *slot;
+  for (int l = 0; l < cfg_.layers; ++l) {
+    if (r.mega != nullptr) {
+      (void)(backward ? r.mega->backward(r.x) : r.mega->forward(r.x));
+    } else {
+      (void)(backward ? r.tess->backward(r.x) : r.tess->forward(r.x));
     }
   }
 }
@@ -66,17 +95,16 @@ EvalResult evaluate(const EvalConfig& cfg) {
   comm::World world(ranks, cfg.spec);
   world.install_fault_plan(cfg.fault);  // no-op for the default empty plan
 
-  auto replay = [&](bool backward) {
-    return [&, backward](comm::Communicator& c) {
-      replay_schedule(cfg, c, backward);
-    };
+  ScheduleReplay replay(cfg, world);
+  auto pass = [&](bool backward) {
+    return [&, backward](comm::Communicator& c) { replay.run(c, backward); };
   };
 
   EvalResult res;
-  Measurement fwd = measure(world, replay(false));
+  Measurement fwd = measure(world, pass(false));
   res.fwd_seconds = fwd.sim_seconds;
   res.fwd_stats = fwd.total_stats;
-  Measurement bwd = measure(world, replay(true));
+  Measurement bwd = measure(world, pass(true));
   res.bwd_seconds = bwd.sim_seconds;
   res.bwd_stats = bwd.total_stats;
 
@@ -96,10 +124,11 @@ obs::ExpectationProfile expectation_from_cost_model(const EvalConfig& cfg) {
   world.enable_metrics();
   EvalConfig one_layer = cfg;
   one_layer.layers = 1;
+  ScheduleReplay replay(one_layer, world);
   world.run([&](comm::Communicator& c) {
     for (int l = 0; l < cfg.layers; ++l) {
-      replay_schedule(one_layer, c, /*backward=*/false);
-      replay_schedule(one_layer, c, /*backward=*/true);
+      replay.run(c, /*backward=*/false);
+      replay.run(c, /*backward=*/true);
     }
   });
   return obs::ExpectationProfile::from_snapshot(world.metrics().snapshot(),

@@ -1,18 +1,36 @@
 // Configuration evaluator: produces the forward / backward / throughput /
 // inference numbers of the paper's Tables 1 and 2 for any parallelization
-// scheme and problem size, by phantom-replaying the layer schedule on a
-// simulated MeluXina-like cluster.
+// scheme and problem size, by replaying the real layers of parallel/ in
+// shape-only mode (tensor/tensor.hpp) on a simulated MeluXina-like cluster.
+// The replay issues the layers' own collectives and compute charges with
+// payload-free messages, so paper-scale dimensions (h = 8192, s = 512) cost
+// no tensor storage; there is no second copy of any layer's schedule.
 #pragma once
 
+#include <memory>
 #include <string>
+#include <vector>
 
+#include "comm/communicator.hpp"
 #include "comm/stats.hpp"
 #include "fault/fault.hpp"
 #include "obs/expect.hpp"
-#include "perf/layer_costs.hpp"
 #include "topology/machine_spec.hpp"
 
 namespace tsr::perf {
+
+/// Problem dimensions of one encoder layer (paper notation: b, s, h, n).
+struct LayerDims {
+  std::int64_t batch = 0;
+  std::int64_t seq = 0;
+  std::int64_t hidden = 0;
+  std::int64_t heads = 0;
+  std::int64_t expansion = 4;
+  /// Bytes per activation/weight element on the wire and in memory-bound
+  /// charges: 4 = fp32 (what the real float layers move), 2 = fp16 mixed
+  /// precision as in the paper's Megatron-style training setups.
+  std::int64_t elem_bytes = 4;
+};
 
 enum class Scheme { Megatron1D, Optimus2D, Tesseract };
 
@@ -47,21 +65,39 @@ struct EvalResult {
   comm::CommStats bwd_stats;
 };
 
-/// Runs the phantom replay and derives the table metrics the way the
+/// Runs the shape-only replay and derives the table metrics the way the
 /// paper's printed numbers do (1/(fwd+bwd) and 1/fwd — see the note in
 /// cost_model.cpp on the text-vs-numbers discrepancy).
 EvalResult evaluate(const EvalConfig& cfg);
 
-/// Replays cfg's full layer schedule (cfg.layers layers, forward or
-/// backward) on `c` — the shared body of evaluate() and the autotune search
+/// cfg's real encoder layer (par::TesseractTransformerLayer on the
+/// [q, q, d] grid — d = 1 for Optimus — or par::MegatronTransformerLayer on
+/// p ranks), built shape-only on every rank of one World: the shared body of
+/// evaluate(), expectation_from_cost_model() and the autotune search
 /// (perf/autotune.hpp), which replays per-stage slices of a candidate and
-/// appends its own optimizer phase. `c` must have exactly cfg.total_ranks()
-/// ranks.
-void replay_schedule(const EvalConfig& cfg, comm::Communicator& c,
-                     bool backward);
+/// appends its own optimizer phase.
+class ScheduleReplay {
+ public:
+  /// Sets `world`'s wire element width to cfg.dims.elem_bytes. `world`
+  /// must have exactly cfg.total_ranks() ranks and outlive the replay.
+  ScheduleReplay(const EvalConfig& cfg, comm::World& world);
+  ~ScheduleReplay();
+
+  /// Replays cfg.layers layers forward (or backward) on the calling rank.
+  /// A Tesseract batch that does not divide d*q is padded to the next
+  /// multiple (Table 1 runs [4,4,2] at batch 12). Each rank's layer is built
+  /// on its first call and kept: a backward pops the caches its forward
+  /// pushed, also across separate World::run / measure() calls.
+  void run(comm::Communicator& c, bool backward);
+
+ private:
+  struct Rank;
+  EvalConfig cfg_;
+  std::vector<std::unique_ptr<Rank>> ranks_;
+};
 
 /// Derives a live-telemetry expectation profile (obs/expect.hpp) from the
-/// cost model: phantom-replays cfg's schedule (forward + backward per layer)
+/// cost model: replays cfg's schedule (forward + backward per layer)
 /// on a fresh metered World and condenses the result into predicted op rate
 /// and busy/wait fractions. cfg.fault is deliberately IGNORED — the profile
 /// is what a *healthy* cluster should do; drift from it is the signal the

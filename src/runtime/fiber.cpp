@@ -283,7 +283,9 @@ void FiberScheduler::run(int nranks, const std::function<void(int)>& fn) {
   const std::size_t stack_bytes = fiber_stack_bytes();
   for (int r = 0; r < nranks; ++r) {
     Fiber& f = impl.fibers[r];
-    f.stack = std::make_unique<char[]>(stack_bytes);
+    // Default-initialized: a fiber touches (and so faults in) only the
+    // stack pages it uses, instead of a zero fill of every page.
+    f.stack = std::make_unique_for_overwrite<char[]>(stack_bytes);
     if (getcontext(&f.ctx) != 0) {
       throw std::runtime_error("FiberScheduler: getcontext failed");
     }

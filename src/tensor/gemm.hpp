@@ -21,7 +21,9 @@ void gemm(Trans ta, Trans tb, std::int64_t m, std::int64_t n, std::int64_t k,
           float alpha, const float* a, std::int64_t lda, const float* b,
           std::int64_t ldb, float beta, float* c, std::int64_t ldc);
 
-/// Returns op(a) * op(b) for 2-D tensors (a fresh tensor).
+/// Returns op(a) * op(b) for 2-D tensors (a fresh tensor). matmul, bmm
+/// and matmul_acc do no math on shape-only operands (tensor/tensor.hpp):
+/// the result is shape-only and an accumulation target is left as is.
 Tensor matmul(const Tensor& a, const Tensor& b, Trans ta = Trans::N,
               Trans tb = Trans::N);
 

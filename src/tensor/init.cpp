@@ -9,9 +9,17 @@ void xavier_uniform(Tensor& t, Rng& rng) {
   xavier_uniform(t, rng, t.dim(0), t.dim(1));
 }
 
+Tensor xavier_weight(Shape shape, Rng& rng, bool shape_only) {
+  Tensor t = shape_only ? Tensor::shape_only(std::move(shape))
+                        : Tensor(std::move(shape));
+  xavier_uniform(t, rng);
+  return t;
+}
+
 void xavier_uniform(Tensor& t, Rng& rng, std::int64_t fan_in,
                     std::int64_t fan_out) {
   check(fan_in + fan_out > 0, "xavier_uniform: fans must be positive");
+  if (t.is_shape_only()) return;  // no storage, so no draw
   const double a = std::sqrt(6.0 / static_cast<double>(fan_in + fan_out));
   for (std::int64_t i = 0; i < t.numel(); ++i) {
     t.data()[i] = static_cast<float>(rng.uniform(-a, a));

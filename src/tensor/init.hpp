@@ -13,6 +13,9 @@ namespace tsr {
 void xavier_uniform(Tensor& t, Rng& rng);
 void xavier_uniform(Tensor& t, Rng& rng, std::int64_t fan_in,
                     std::int64_t fan_out);
+/// A fresh 2-D weight of `shape` drawn by xavier_uniform — or, when
+/// `shape_only`, a shape-only tensor: no storage and no RNG draw.
+Tensor xavier_weight(Shape shape, Rng& rng, bool shape_only = false);
 
 /// Fills `t` with N(mean, stddev^2).
 void normal_init(Tensor& t, Rng& rng, double mean = 0.0, double stddev = 1.0);

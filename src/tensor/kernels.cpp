@@ -20,6 +20,7 @@ void check_same_numel(const Tensor& a, const Tensor& b, const char* op) {
 
 Tensor add(const Tensor& a, const Tensor& b) {
   check_same_numel(a, b, "add");
+  if (a.is_shape_only()) return Tensor::shape_only(a.shape());
   Tensor out(a.shape());
   const float* pa = a.data();
   const float* pb = b.data();
@@ -38,6 +39,7 @@ Tensor sub(const Tensor& a, const Tensor& b) {
 
 Tensor mul(const Tensor& a, const Tensor& b) {
   check_same_numel(a, b, "mul");
+  if (a.is_shape_only()) return Tensor::shape_only(a.shape());
   Tensor out(a.shape());
   for (std::int64_t i = 0; i < a.numel(); ++i)
     out.data()[i] = a.data()[i] * b.data()[i];
@@ -46,10 +48,12 @@ Tensor mul(const Tensor& a, const Tensor& b) {
 
 void axpy(float alpha, const Tensor& x, Tensor& y) {
   check_same_numel(x, y, "axpy");
+  if (y.is_shape_only()) return;
   active_kernel_variant().axpy(alpha, x.data(), y.data(), x.numel());
 }
 
 void scale(Tensor& t, float alpha) {
+  if (t.is_shape_only()) return;
   active_kernel_variant().scale(t.data(), alpha, t.numel());
 }
 
@@ -63,6 +67,7 @@ void add_bias(Tensor& x, const Tensor& bias) {
   check(x.ndim() >= 1 && bias.ndim() == 1, "add_bias: bias must be 1-D");
   const std::int64_t f = x.dim(-1);
   check(bias.dim(0) == f, "add_bias: feature count mismatch");
+  if (x.is_shape_only()) return;
   const std::int64_t rows = x.numel() / f;
   float* px = x.data();
   const float* pb = bias.data();
@@ -75,6 +80,7 @@ void add_bias(Tensor& x, const Tensor& bias) {
 Tensor bias_grad(const Tensor& dy) {
   check(dy.ndim() >= 1, "bias_grad: needs at least 1-D input");
   const std::int64_t f = dy.dim(-1);
+  if (dy.is_shape_only()) return Tensor::shape_only({f});
   const std::int64_t rows = dy.numel() / f;
   Tensor g = Tensor::zeros({f});
   const float* p = dy.data();
@@ -127,6 +133,7 @@ Tensor slice_block(const Tensor& src, std::int64_t r0, std::int64_t c0,
   check(src.ndim() == 2, "slice_block: source must be 2-D");
   check(r0 >= 0 && c0 >= 0 && r0 + rows <= src.dim(0) && c0 + cols <= src.dim(1),
         "slice_block: block out of bounds");
+  if (src.is_shape_only()) return Tensor::shape_only({rows, cols});
   Tensor out({rows, cols});
   const std::int64_t ld = src.dim(1);
   for (std::int64_t r = 0; r < rows; ++r) {
@@ -143,6 +150,7 @@ void paste_block(Tensor& dst, const Tensor& block, std::int64_t r0,
   const std::int64_t cols = block.dim(1);
   check(r0 >= 0 && c0 >= 0 && r0 + rows <= dst.dim(0) && c0 + cols <= dst.dim(1),
         "paste_block: block out of bounds");
+  if (dst.is_shape_only()) return;
   const std::int64_t ld = dst.dim(1);
   for (std::int64_t r = 0; r < rows; ++r) {
     std::memcpy(dst.data() + (r0 + r) * ld + c0, block.data() + r * cols,
@@ -169,7 +177,7 @@ Tensor hcat(const std::vector<Tensor>& parts) {
     check(p.ndim() == 2 && p.dim(0) == rows, "hcat: row count mismatch");
     cols += p.dim(1);
   }
-  Tensor out({rows, cols});
+  Tensor out = Tensor::empty_as(parts.front(), {rows, cols});
   std::int64_t c0 = 0;
   for (const Tensor& p : parts) {
     paste_block(out, p, 0, c0);

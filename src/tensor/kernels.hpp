@@ -1,5 +1,8 @@
 // Elementwise, reduction, and block-movement kernels shared by the serial
-// reference layers and the distributed algorithms.
+// reference layers and the distributed algorithms. The kernels the parallel
+// layers call return a shape-only result for a shape-only first operand
+// (in-place kernels do nothing to a shape-only target); mixing a shape-only
+// operand with a real one is a contract violation.
 #pragma once
 
 #include <cstdint>

@@ -97,6 +97,23 @@ Tensor Tensor::of(std::initializer_list<float> values) {
               Shape{static_cast<std::int64_t>(values.size())});
 }
 
+Tensor Tensor::shape_only(Shape shape) {
+  Tensor t;
+  t.numel_ = shape_numel(shape);
+  t.shape_ = std::move(shape);
+  return t;
+}
+
+Tensor Tensor::empty_as(const Tensor& like, Shape shape) {
+  return like.is_shape_only() ? shape_only(std::move(shape))
+                              : Tensor(std::move(shape));
+}
+
+Tensor Tensor::zeros_as(const Tensor& like, Shape shape) {
+  return like.is_shape_only() ? shape_only(std::move(shape))
+                              : zeros(std::move(shape));
+}
+
 void Tensor::dim_out_of_range() {
   throw std::invalid_argument("Tensor::dim: index out of range");
 }
@@ -126,9 +143,10 @@ Tensor Tensor::clone() const {
   // A default-constructed tensor has an empty shape AND numel 0; a scalar
   // Tensor({}) has numel 1. Preserve the distinction: cloning empty yields
   // empty rather than a scalar built from the empty shape.
-  if (numel_ == 0) {
+  if (numel_ == 0 || is_shape_only()) {
     Tensor t;
     t.shape_ = shape_;
+    t.numel_ = numel_;
     return t;
   }
   Tensor t(shape_);
@@ -137,12 +155,13 @@ Tensor Tensor::clone() const {
 }
 
 void Tensor::fill(float value) {
+  if (data_ == nullptr) return;
   for (std::int64_t i = 0; i < numel_; ++i) data_[i] = value;
 }
 
 void Tensor::copy_from(const Tensor& src) {
   check(src.numel() == numel_, "Tensor::copy_from: size mismatch");
-  if (numel_ > 0) {
+  if (data_ != nullptr && src.data_ != nullptr) {
     std::memcpy(data(), src.data(), static_cast<std::size_t>(numel_) * sizeof(float));
   }
 }

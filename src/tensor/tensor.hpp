@@ -5,6 +5,12 @@
 // layers. Tensors are always contiguous; reshape() returns a view that
 // shares storage. All shapes use int64_t to avoid overflow in size
 // computations at paper-scale dimensions (e.g. 8192 x 32768 weights).
+//
+// A *shape-only* tensor has a real shape and no storage. Every kernel the
+// parallel layers and pdgemm/ call returns a shape-only result for a
+// shape-only input, and the communicator sends it as a payload-free message
+// of the declared size, so the real layers replay their exact schedule at
+// paper scale without allocating it (perf::ScheduleReplay).
 #pragma once
 
 #include <cstdint>
@@ -48,6 +54,12 @@ class Tensor {
   static Tensor from(std::span<const float> values, Shape shape);
   /// 1-D tensor from an initializer list, convenience for tests.
   static Tensor of(std::initializer_list<float> values);
+  /// A tensor of `shape` with no storage (see the file comment).
+  static Tensor shape_only(Shape shape);
+  /// Uninitialized / zero-filled tensor of `shape` that is shape-only
+  /// exactly when `like` is: how kernels allocate their outputs.
+  static Tensor empty_as(const Tensor& like, Shape shape);
+  static Tensor zeros_as(const Tensor& like, Shape shape);
 
   const Shape& shape() const { return shape_; }
   std::int64_t ndim() const { return static_cast<std::int64_t>(shape_.size()); }
@@ -59,6 +71,9 @@ class Tensor {
   }
   std::int64_t numel() const { return numel_; }
   bool empty() const { return numel_ == 0; }
+  /// True for a non-empty tensor without storage: data() is null and only
+  /// the shape is meaningful.
+  bool is_shape_only() const { return data_ == nullptr && numel_ != 0; }
 
   float* data() { return data_.get(); }
   const float* data() const { return data_.get(); }
@@ -94,11 +109,12 @@ class Tensor {
   /// The canonical "rows x features" view used by matmul-based layers.
   Tensor as_matrix() const;
 
-  /// Deep copy with fresh storage.
+  /// Deep copy with fresh storage (shape-only stays shape-only).
   Tensor clone() const;
-  /// Overwrite all elements with `value`.
+  /// Overwrite all elements with `value` (no-op when shape-only).
   void fill(float value);
-  /// Copy elements from `src` (shapes must have equal numel).
+  /// Copy elements from `src` (shapes must have equal numel; no-op when
+  /// either side is shape-only).
   void copy_from(const Tensor& src);
 
   /// True if the two tensors share the same storage buffer.

@@ -11,12 +11,12 @@
 //   runtime/   — run_spmd, SimClock
 //   comm/      — World, Communicator (collectives + phantom twins)
 //   fault/     — FaultPlan, Injector (seeded fault/straggler injection)
-//   topology/  — Grid3D, MachineSpec, analytic collective costs
+//   topology/  — Grid3D, MachineSpec, closed-form collective costs
 //   pdgemm/    — cannon / summa / solomonik25d / tesseract matmuls
 //   nn/        — serial layers, losses, SGD/Adam/LAMB
 //   parallel/  — Tesseract layers, Megatron-LM and Optimus baselines,
 //                pipeline parallelism
-//   perf/      — paper formulas, phantom replay, table evaluator
+//   perf/      — paper formulas, shape-only layer replay, table evaluator
 //   train/     — dataset, ViT, training loops (Fig. 7 harness)
 #pragma once
 

@@ -8,7 +8,7 @@
 #include "parallel/dist.hpp"
 #include "parallel/tesseract_transformer.hpp"
 #include "pdgemm/tesseract_mm.hpp"
-#include "perf/layer_costs.hpp"
+#include "perf/cost_model.hpp"
 #include "tensor/gemm.hpp"
 #include "tensor/init.hpp"
 #include "tensor/kernels.hpp"
@@ -144,13 +144,13 @@ TEST(Misuse, AttentionHeadDivisibility) {
 }
 
 TEST(Misuse, PhantomDimsDivisibility) {
-  comm::World world(4);
-  EXPECT_THROW(world.run([&](comm::Communicator& c) {
-                 pdg::TesseractComms tc = pdg::TesseractComms::create(c, 2, 1);
-                 perf::LayerDims dims{4, 2, 9, 2};  // hidden 9 % q 2 != 0
-                 perf::phantom_tesseract_forward(tc, dims);
-               }),
-               std::invalid_argument);
+  // hidden 9 % q 2 != 0: the real layers' own checks reject the replay.
+  const perf::EvalConfig cfg{.scheme = perf::Scheme::Tesseract,
+                             .q = 2,
+                             .d = 1,
+                             .dims = perf::LayerDims{4, 2, 9, 2},
+                             .layers = 1};
+  EXPECT_THROW(perf::evaluate(cfg), std::invalid_argument);
 }
 
 TEST(Misuse, TransformerNeedsLayers) {

@@ -138,7 +138,7 @@ TEST(MetricClass, HostPatternsAreHostWall) {
        {"cases/x/wall_ms", "cases/x/wall_ms_per_step", "cases/x/gflops",
         "cases/x/speedup_vs_w1", "cases/x/scheduler_resumes",
         "cases/x/pool_allocations", "cases/pack_scratch/allocations",
-        "cases/pack_scratch/reuses", "cases/v/max_rel_err_vs_scalar"}) {
+        "cases/pack_scratch/reuses"}) {
     EXPECT_EQ(classify_metric(m), MetricClass::HostWall) << m;
   }
 }

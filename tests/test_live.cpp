@@ -18,7 +18,7 @@
 #include "obs/live.hpp"
 #include "obs/memory.hpp"
 #include "obs/metrics.hpp"
-#include "pdgemm/block.hpp"
+#include "parallel/tesseract_transformer.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/export.hpp"
 #include "perf/run_report.hpp"
@@ -60,18 +60,27 @@ class EnvGuard {
 const perf::LayerDims kDims{4, 8, 64, 4};
 constexpr int kLayers = 2;
 
-void phantom_workload(comm::Communicator& c) {
-  pdg::TesseractComms tc = pdg::TesseractComms::create(c, 2, 2);
-  for (int l = 0; l < kLayers; ++l) {
-    perf::phantom_tesseract_forward(tc, kDims);
-    perf::phantom_tesseract_backward(tc, kDims);
-  }
+// Runs the replay on `world` layer by layer, forward then backward — the
+// schedule perf::expectation_from_cost_model profiles.
+void run_phantom_workload(comm::World& world) {
+  perf::ScheduleReplay replay({.scheme = perf::Scheme::Tesseract,
+                               .q = 2,
+                               .d = 2,
+                               .dims = kDims,
+                               .layers = 1},
+                              world);
+  world.run([&](comm::Communicator& c) {
+    for (int l = 0; l < kLayers; ++l) {
+      replay.run(c, /*backward=*/false);
+      replay.run(c, /*backward=*/true);
+    }
+  });
 }
 
 double clean_makespan() {
   static const double m = [] {
     comm::World world(8, topo::MachineSpec::meluxina());
-    world.run(phantom_workload);
+    run_phantom_workload(world);
     return world.max_sim_time();
   }();
   return m;
@@ -94,7 +103,7 @@ std::string run_with_timeline(const std::string& path, double interval) {
   cfg.label = "test";
   cfg.path = path;
   world.enable_live(cfg);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
   return slurp(path);
 }
@@ -204,7 +213,7 @@ TEST(LiveSampler, RecordsCountersIntoRegistry) {
   obs::ExpectationMonitor monitor(obs::ExpectationProfile{},
                                   obs::DriftConfig{}, world.size());
   world.live()->set_monitor(&monitor);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
 
   const obs::Snapshot snap = world.metrics().snapshot();
@@ -224,7 +233,7 @@ TEST(LiveSampler, RingStaysBounded) {
   cfg.interval = clean_makespan() / 64.0;
   cfg.ring_windows = 4;
   world.enable_live(cfg);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
   EXPECT_LE(world.live()->ring().size(), 4u);
   EXPECT_GT(world.live()->ring_evictions(), 0);
@@ -245,7 +254,7 @@ TEST(ExpectationMonitor, FlagsInjectedStragglerOnTheRightRank) {
   obs::ExpectationMonitor monitor(obs::ExpectationProfile{},
                                   obs::DriftConfig{}, world.size());
   world.live()->set_monitor(&monitor);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
 
   const std::vector<obs::DriftEvent> events = world.live()->drift_events();
@@ -272,7 +281,7 @@ TEST(ExpectationMonitor, SilentOnCleanRun) {
   obs::ExpectationMonitor monitor(obs::ExpectationProfile{},
                                   obs::DriftConfig{}, world.size());
   world.live()->set_monitor(&monitor);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
   EXPECT_TRUE(world.live()->drift_events().empty());
 }
@@ -300,7 +309,7 @@ TEST(ExpectationMonitor, CostModelProfileMatchesItsOwnReplay) {
   world.enable_live(cfg);
   obs::ExpectationMonitor monitor(profile, obs::DriftConfig{}, world.size());
   world.live()->set_monitor(&monitor);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
   EXPECT_TRUE(world.live()->drift_events().empty());
 }
@@ -445,6 +454,35 @@ TEST(RankMemory, PerRankLiveBytesTrackOwningRank) {
   EXPECT_EQ(obs::rank_live_tensor_bytes(1 << 20), 0);
 }
 
+// A paper-scale replay (Table 1's Tesseract [8,8,1], h = 3072) runs the real
+// layer on shape-only tensors: nothing it builds or returns has storage, and
+// no rank's live tensor bytes move.
+TEST(RankMemory, PaperScaleShapeOnlyReplayAllocatesNothing) {
+  const perf::LayerDims dims{12, 512, 3072, 64};
+  comm::World world(64, topo::MachineSpec::meluxina());
+  world.run([&](comm::Communicator& c) {
+    const int r = c.world_rank();
+    EXPECT_EQ(obs::rank_live_tensor_bytes(r), 0);
+    par::TesseractContext ctx(c, 8, 1, /*shape_only=*/true);
+    Rng rng(1);
+    par::TesseractTransformerLayer layer(ctx, dims.hidden, dims.heads, rng);
+    for (const nn::Param* p : layer.params()) {
+      EXPECT_TRUE(p->value.is_shape_only());
+      EXPECT_TRUE(p->grad.is_shape_only());
+    }
+    const Tensor x = Tensor::shape_only({2, dims.seq, dims.hidden / 8});
+    const Tensor y = layer.forward(x);
+    EXPECT_EQ(y.shape(), x.shape());
+    EXPECT_EQ(y.data(), nullptr);
+    EXPECT_EQ(obs::rank_live_tensor_bytes(r), 0);
+    const Tensor dx = layer.backward(y);
+    EXPECT_EQ(dx.shape(), x.shape());
+    EXPECT_EQ(dx.data(), nullptr);
+    EXPECT_EQ(obs::rank_live_tensor_bytes(r), 0);
+  });
+  EXPECT_GT(world.max_sim_time(), 0.0);
+}
+
 // ---- Fault-plan fingerprints ------------------------------------------------
 
 TEST(FaultFingerprint, EmptyPlanIsNoneAndPlansAreStable) {
@@ -472,7 +510,7 @@ TEST(FaultFingerprint, TimelineHeaderCarriesThePlan) {
   cfg.interval = clean_makespan() / 16.0;
   cfg.path = "TIMELINE_test_fp.json";
   world.enable_live(cfg);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
 
   std::ifstream in("TIMELINE_test_fp.json");
@@ -504,7 +542,7 @@ TEST(RunReportTimeline, EmbedsRingWindowsInSharedSchema) {
   obs::LiveConfig cfg;
   cfg.interval = clean_makespan() / 16.0;
   world.enable_live(cfg);
-  world.run(phantom_workload);
+  run_phantom_workload(world);
   world.finish_live();
 
   const perf::RunReport rep = perf::build_run_report(world, "live_test");
@@ -529,7 +567,7 @@ TEST(RunReportTimeline, EmbedsRingWindowsInSharedSchema) {
   world2.enable_tracing();
   world2.enable_metrics();
   world2.enable_live(cfg);
-  world2.run(phantom_workload);
+  run_phantom_workload(world2);
   world2.finish_live();
   const obs::JsonValue doc2 =
       perf::build_run_report(world2, "live_test").to_json();

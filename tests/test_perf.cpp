@@ -1,17 +1,15 @@
-// Performance model: the phantom layer replay must match the real layers
-// exactly (time and bytes) — this test is the contract that lets the table
-// benchmarks run at paper scale; plus the paper's closed-form claims and the
-// qualitative table shapes.
+// Performance model: the shape-only replay of the real layers must match
+// their real-payload run exactly (time and bytes) — this test is the
+// contract that lets the table benchmarks run at paper scale; plus the
+// paper's closed-form claims and the qualitative table shapes.
 #include <gtest/gtest.h>
 
 #include "comm/communicator.hpp"
 #include "parallel/dist.hpp"
-#include "perf/analytic.hpp"
 #include "parallel/megatron.hpp"
 #include "parallel/tesseract_transformer.hpp"
 #include "perf/cost_model.hpp"
 #include "perf/formulas.hpp"
-#include "perf/layer_costs.hpp"
 #include "perf/report.hpp"
 #include "perf/trace.hpp"
 #include "tensor/init.hpp"
@@ -52,10 +50,12 @@ TEST_P(PhantomLayerEquivalence, TesseractForwardAndBackward) {
   });
 
   comm::World phantom(q * q * d, spec);
+  ScheduleReplay replay(
+      {.scheme = Scheme::Tesseract, .q = q, .d = d, .dims = dims, .layers = 1},
+      phantom);
   Measurement mp = measure(phantom, [&](comm::Communicator& c) {
-    pdg::TesseractComms tc = pdg::TesseractComms::create(c, q, d);
-    phantom_tesseract_forward(tc, dims);
-    phantom_tesseract_backward(tc, dims);
+    replay.run(c, /*backward=*/false);
+    replay.run(c, /*backward=*/true);
   });
 
   EXPECT_DOUBLE_EQ(mr.sim_seconds, mp.sim_seconds)
@@ -92,9 +92,12 @@ TEST_P(PhantomMegatronEquivalence, ForwardAndBackward) {
   });
 
   comm::World phantom(p, spec);
+  ScheduleReplay replay(
+      {.scheme = Scheme::Megatron1D, .p = p, .dims = dims, .layers = 1},
+      phantom);
   Measurement mp = measure(phantom, [&](comm::Communicator& c) {
-    phantom_megatron_forward(c, dims);
-    phantom_megatron_backward(c, dims);
+    replay.run(c, /*backward=*/false);
+    replay.run(c, /*backward=*/true);
   });
 
   EXPECT_DOUBLE_EQ(mr.sim_seconds, mp.sim_seconds);
@@ -263,46 +266,6 @@ TEST(TableShape, OrderingStableUnderHalfPrecision) {
   const double tess = fwd16(Scheme::Tesseract, 4, 4);
   EXPECT_LT(tess, fwd16(Scheme::Megatron1D, 64, 1));
   EXPECT_LT(tess, fwd16(Scheme::Tesseract, 8, 1));
-}
-
-// The closed-form analytic model must track the exact phantom replay within
-// a tolerance band across representative configurations (its documented
-// contract; bench_model_validation prints the full table).
-TEST(AnalyticModel, TracksPhantomReplay) {
-  const std::vector<EvalConfig> cfgs = {
-      {.scheme = Scheme::Megatron1D, .p = 4, .dims = table1_dims(12), .layers = 2},
-      {.scheme = Scheme::Megatron1D, .p = 64, .dims = table1_dims(12), .layers = 2},
-      {.scheme = Scheme::Optimus2D, .q = 4, .dims = table1_dims(12), .layers = 2},
-      {.scheme = Scheme::Tesseract, .q = 2, .d = 2, .dims = table1_dims(12), .layers = 2},
-      {.scheme = Scheme::Tesseract, .q = 4, .d = 4, .dims = table1_dims(16), .layers = 2},
-      {.scheme = Scheme::Tesseract, .q = 8, .d = 1, .dims = table1_dims(12), .layers = 2},
-  };
-  for (const EvalConfig& cfg : cfgs) {
-    const EvalResult replay = evaluate(cfg);
-    const double fwd = analytic_forward_seconds(cfg);
-    const double bwd = analytic_backward_seconds(cfg);
-    EXPECT_GT(fwd, 0.6 * replay.fwd_seconds) << cfg.shape_string();
-    EXPECT_LT(fwd, 1.6 * replay.fwd_seconds) << cfg.shape_string();
-    EXPECT_GT(bwd, 0.6 * replay.bwd_seconds) << cfg.shape_string();
-    EXPECT_LT(bwd, 1.6 * replay.bwd_seconds) << cfg.shape_string();
-  }
-}
-
-TEST(AnalyticModel, BreakdownTellsTheSection31Story) {
-  const topo::MachineSpec spec = topo::MachineSpec::meluxina();
-  const LayerDims dims = table1_dims(16);
-  const AnalyticBreakdown mega = analytic_megatron_forward(spec, 64, dims);
-  const AnalyticBreakdown wide = analytic_tesseract_forward(spec, 8, 1, dims);
-  const AnalyticBreakdown deep = analytic_tesseract_forward(spec, 4, 4, dims);
-  // Megatron is dominated by activation all-reduces and moves no weights.
-  EXPECT_GT(mega.activation_comm, 10 * mega.compute);
-  EXPECT_EQ(mega.weight_comm, 0.0);
-  // Depth slashes the activation term relative to the wide grid.
-  EXPECT_LT(deep.activation_comm, 0.25 * wide.activation_comm);
-  // ...at the price of more weight-panel traffic per rank.
-  EXPECT_GT(deep.weight_comm, wide.weight_comm);
-  // Totals: deep beats wide (Table 1's headline).
-  EXPECT_LT(deep.total(), wide.total());
 }
 
 TEST(Report, MakeRowAndPrint) {
